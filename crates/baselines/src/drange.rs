@@ -3,7 +3,9 @@
 use crate::TrngComparison;
 use qt_crypto::Sha256HardwareCost;
 use qt_dram_analog::failures::FailureModel;
-use qt_dram_core::{DramGeometry, RowAddr, TimingParams, TransferRate, RANDOM_NUMBER_BITS};
+use qt_dram_core::{
+    DramGeometry, RowAddr, TimingParams, TransferRate, CACHE_BLOCK_BITS, RANDOM_NUMBER_BITS,
+};
 use serde::{Deserialize, Serialize};
 
 /// Throughput/latency model of D-RaNGe on a DDR4 channel.
@@ -39,7 +41,31 @@ impl DRange {
     /// simulated module (the Section 7.4.1 methodology): the maximum
     /// cache-block entropy under a deeply reduced tRCD, averaged over a
     /// sample of rows.
+    ///
+    /// The block entropies come from one classify-first
+    /// [`TrcdClassifier`](qt_dram_analog::TrcdClassifier) scan, which skips
+    /// the deterministic cells (their entropy is exactly 0): bit-identical
+    /// to summing `FailureModel::trcd_cache_block_entropy` per block.
     pub fn enhanced_from_characterisation(failures: &FailureModel, geom: &DramGeometry) -> Self {
+        let classifier = failures.trcd_classifier(0.3);
+        let mut best = 0.0f64;
+        for row in (0..geom.rows_per_bank().min(4096)).step_by(512) {
+            for cb in 0..geom.cache_blocks_per_row().min(16) {
+                let start = cb * CACHE_BLOCK_BITS;
+                let block = start..start + CACHE_BLOCK_BITS;
+                best = best.max(classifier.entropy(RowAddr::new(row), block));
+            }
+        }
+        DRange { bits_per_access: best.max(1.0), post_processed: true, banks: 4 }
+    }
+
+    /// The cell-by-cell scan [`DRange::enhanced_from_characterisation`]
+    /// replaced, frozen as its equivalence oracle.
+    #[cfg(test)]
+    fn enhanced_from_characterisation_reference(
+        failures: &FailureModel,
+        geom: &DramGeometry,
+    ) -> Self {
         let mut best = 0.0f64;
         for row in (0..geom.rows_per_bank().min(4096)).step_by(512) {
             for cb in 0..geom.cache_blocks_per_row().min(16) {
@@ -135,5 +161,18 @@ mod tests {
         let failures = FailureModel::new(ModuleVariation::generate(&geom, 12));
         let d = DRange::enhanced_from_characterisation(&failures, &geom);
         assert!(d.bits_per_access > 10.0 && d.bits_per_access < 150.0, "bits {}", d.bits_per_access);
+    }
+
+    #[test]
+    fn characterised_enhanced_variant_matches_the_cell_by_cell_reference() {
+        let paper = DramGeometry::ddr4_4gb_x8_module();
+        let tiny = DramGeometry::tiny_test();
+        for (geom, seed) in [(paper, 12), (paper, 40), (tiny, 8), (tiny, 9)] {
+            let failures = FailureModel::new(ModuleVariation::generate(&geom, seed));
+            let fast = DRange::enhanced_from_characterisation(&failures, &geom);
+            let reference = DRange::enhanced_from_characterisation_reference(&failures, &geom);
+            assert_eq!(fast.bits_per_access.to_bits(), reference.bits_per_access.to_bits());
+            assert_eq!(fast, reference);
+        }
     }
 }

@@ -21,13 +21,35 @@
 //! Each generator carries a frozen `fill_bytes_reference` twin (scalar
 //! sampling + scalar hashing) and the stream contract is: same
 //! construction, same bytes, regardless of how reads slice the stream.
+//!
+//! ## Construction: choosing the harvest rows
+//!
+//! Both generators pick their rows once, at construction, by scoring up to
+//! 16 candidate rows on their count of metastable bitlines (cells whose
+//! probability quantizes to a [`BitThreshold::Metastable`] threshold).
+//!
+//! * [`DRangeTrng::new`] scores rows with the classify-first
+//!   [`TrcdClassifier`](qt_dram_analog::TrcdClassifier): the row hash
+//!   prefix is taken once per row, each bitline is placed by integer range
+//!   checks on its hashed uniform, and only a thin band of cells near the
+//!   CDF's saturation edge (about 3%) runs the exact probability chain.
+//!   The chosen row's full probabilities are built once, running the chain
+//!   only for its metastable cells; the analytic class model skips
+//!   deterministic cells, whose entropy is exactly 0. This is exact, not
+//!   an approximation — the argument is in `qt_dram_analog::failures` —
+//!   and the tests pin the chosen row's probabilities to the frozen
+//!   cell-by-cell scan to the bit.
+//! * [`RetentionTrng::new`] scores each candidate row once, keeps the
+//!   `RETENTION_BURST_ROWS` best with their probabilities (ties in
+//!   ascending row order, as a stable sort gives), and reuses them as the
+//!   harvest image, pinned to the frozen sort-based scan.
 
 use crate::drange::DRange;
 use crate::talukder::Talukder;
 use qt_crypto::batch::digest_many_into;
 use qt_crypto::sha256::{Sha256, Sha256Digest};
 use qt_dram_analog::sampler::{sample_reference, PackedSampler};
-use qt_dram_analog::{FailureModel, NoiseRng, RetentionModel};
+use qt_dram_analog::{BitThreshold, FailureModel, NoiseRng, RetentionModel};
 use qt_dram_core::{BitVec, DramGeometry, RowAddr, TransferRate};
 use quac_trng::backend::{BackendClass, BackendKind, EntropyBackend};
 use quac_trng::characterize::CharacterizationConfig;
@@ -169,9 +191,9 @@ impl SampledStream {
 }
 
 /// Counts the bits of a probability row that quantize to a metastable
-/// threshold — the row-selection score of both generators.
+/// threshold — the row-selection score of the retention generator.
 fn metastable_count(probs: &[f64]) -> usize {
-    PackedSampler::new(probs).metastable_bits()
+    probs.iter().filter(|&&p| !BitThreshold::quantize(p).is_deterministic()).count()
 }
 
 /// A D-RaNGe-style generator (Kim et al., HPCA 2019): reads a chosen row
@@ -189,21 +211,25 @@ pub struct DRangeTrng {
 impl DRangeTrng {
     /// Builds the generator on a characterised failure model: scans the
     /// candidate rows for the one with the most metastable bitlines at
-    /// `TRCD_FRACTION`, and advertises the throughput/latency class of
-    /// the characterised Enhanced D-RaNGe analytic model.
+    /// `TRCD_FRACTION` (the last such row on a tie), and advertises the
+    /// throughput/latency class of the characterised Enhanced D-RaNGe
+    /// analytic model.
+    ///
+    /// The scan counts metastable bitlines with one classify-first
+    /// [`TrcdClassifier`](qt_dram_analog::TrcdClassifier) pass per row and
+    /// builds full probabilities for the chosen row only, bit-identical to
+    /// evaluating `trcd_read_one_probability` on every bitline of every
+    /// candidate (the frozen reference in the tests).
     pub fn new(failures: &FailureModel, geom: &DramGeometry, seed: u64) -> Self {
-        let row_probs = |row: usize| -> Vec<f64> {
-            (0..geom.row_bits)
-                .map(|bl| failures.trcd_read_one_probability(RowAddr::new(row), bl, TRCD_FRACTION))
-                .collect()
-        };
+        let classifier = failures.trcd_classifier(TRCD_FRACTION);
         let best = candidate_rows(geom)
-            .max_by_key(|&row| metastable_count(&row_probs(row)))
+            .max_by_key(|&row| classifier.metastable_count(RowAddr::new(row), 0..geom.row_bits))
             .expect("at least one candidate row");
+        let probs = classifier.row_probabilities(RowAddr::new(best), 0..geom.row_bits);
         let rate = TransferRate::ddr4_2400();
         let analytic = DRange::enhanced_from_characterisation(failures, geom);
         DRangeTrng {
-            stream: SampledStream::new(row_probs(best), seed),
+            stream: SampledStream::new(probs, seed),
             class: BackendClass {
                 kind: BackendKind::DRange,
                 throughput_gbps: analytic.throughput_gbps_per_channel(rate),
@@ -305,12 +331,23 @@ impl RetentionTrng {
                 })
                 .collect()
         };
-        let mut rows: Vec<usize> = candidate_rows(geom).collect();
-        rows.sort_by_key(|&row| std::cmp::Reverse(metastable_count(&row_probs(row))));
-        rows.truncate(RETENTION_BURST_ROWS.max(1));
+        // Score every candidate once, keeping the best rows with their
+        // probabilities: descending count, ties in ascending row order
+        // (the order of a stable sort by descending count).
+        let burst = RETENTION_BURST_ROWS.max(1);
+        let mut winners: Vec<(usize, usize, Vec<f64>)> = Vec::with_capacity(burst + 1);
+        for row in candidate_rows(geom) {
+            let probs = row_probs(row);
+            let count = metastable_count(&probs);
+            let at = winners.partition_point(|&(best, _, _)| best >= count);
+            if at < burst {
+                winners.insert(at, (count, row, probs));
+                winners.truncate(burst);
+            }
+        }
         // Deterministic harvest order: ascending row within the winner set.
-        rows.sort_unstable();
-        let probs: Vec<f64> = rows.iter().flat_map(|&row| row_probs(row)).collect();
+        winners.sort_unstable_by_key(|&(_, row, _)| row);
+        let probs: Vec<f64> = winners.into_iter().flat_map(|(_, _, probs)| probs).collect();
         let rate = TransferRate::ddr4_2400();
         let analytic = Talukder::enhanced_default();
         RetentionTrng {
@@ -400,6 +437,74 @@ mod tests {
             RetentionModel::new(ModuleVariation::generate(&geom, 5)),
             geom,
         )
+    }
+
+    /// Tiny rows, 4096 rows per bank: eight candidate rows to scan.
+    fn scan_geometry() -> DramGeometry {
+        DramGeometry { subarrays_per_bank: 64, ..DramGeometry::tiny_test() }
+    }
+
+    fn bits(probs: &[f64]) -> Vec<u64> {
+        probs.iter().map(|p| p.to_bits()).collect()
+    }
+
+    /// The cell-by-cell row scan `DRangeTrng::new` replaced, frozen as its
+    /// oracle: the chosen row's probabilities.
+    fn drange_probs_reference(failures: &FailureModel, geom: &DramGeometry) -> Vec<f64> {
+        let row_probs = |row: usize| -> Vec<f64> {
+            (0..geom.row_bits)
+                .map(|bl| failures.trcd_read_one_probability(RowAddr::new(row), bl, TRCD_FRACTION))
+                .collect()
+        };
+        let best = candidate_rows(geom)
+            .max_by_key(|&row| PackedSampler::new(&row_probs(row)).metastable_bits())
+            .expect("at least one candidate row");
+        row_probs(best)
+    }
+
+    /// The sort-based row scan `RetentionTrng::new` replaced (rebuilding a
+    /// row's probabilities on every comparison), frozen as its oracle: the
+    /// harvested probabilities.
+    fn retention_probs_reference(
+        retention: &RetentionModel,
+        geom: &DramGeometry,
+        pause_s: f64,
+    ) -> Vec<f64> {
+        let row_probs = |row: usize| -> Vec<f64> {
+            (0..geom.row_bits)
+                .map(|bl| {
+                    retention.failure_probability(RowAddr::new(row), bl, pause_s, RETENTION_TEMP_C)
+                })
+                .collect()
+        };
+        let mut rows: Vec<usize> = candidate_rows(geom).collect();
+        rows.sort_by_key(|&row| std::cmp::Reverse(PackedSampler::new(&row_probs(row)).metastable_bits()));
+        rows.truncate(RETENTION_BURST_ROWS.max(1));
+        rows.sort_unstable();
+        rows.iter().flat_map(|&row| row_probs(row)).collect()
+    }
+
+    #[test]
+    fn drange_row_scan_matches_the_cell_by_cell_reference() {
+        for geom in [DramGeometry::tiny_test(), scan_geometry()] {
+            for seed in [5, 8, 21] {
+                let failures = FailureModel::new(ModuleVariation::generate(&geom, seed));
+                let d = DRangeTrng::new(&failures, &geom, 1);
+                assert_eq!(bits(&d.stream.probs), bits(&drange_probs_reference(&failures, &geom)));
+            }
+        }
+    }
+
+    #[test]
+    fn retention_row_scan_matches_the_sort_based_reference() {
+        for geom in [DramGeometry::tiny_test(), scan_geometry()] {
+            for seed in [5, 8, 21] {
+                let retention = RetentionModel::new(ModuleVariation::generate(&geom, seed));
+                let r = RetentionTrng::new(&retention, &geom, 1);
+                let reference = retention_probs_reference(&retention, &geom, r.pause_s());
+                assert_eq!(bits(&r.stream.probs), bits(&reference));
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,56 @@
 //!
 //! These models feed the "Enhanced" baselines of Section 7.4, which the paper
 //! builds by characterising the same 136 chips used for QUAC.
+//!
+//! ## Classify-first row scans
+//!
+//! Picking a D-RaNGe harvest row and characterising its analytic model only
+//! needs to know which cells are *metastable* (their read-one probability
+//! quantises to a [`BitThreshold::Metastable`] threshold) — most cells are
+//! deterministic, with a probability of exactly 0.0 or 1.0. A
+//! [`TrcdClassifier`] decides that for whole rows without running the
+//! probability chain (hash → Acklam Φ⁻¹ → `exp`-based erf) on every cell:
+//!
+//! * The row's [`CoordHasher`] prefix is taken once per row; each bitline
+//!   then costs two SplitMix rounds.
+//! * The normalised bias `z = spread · Φ⁻¹(u) / depth` is monotone in the
+//!   53-bit mantissa `m = hash >> 11` behind the hashed uniform `u`. Four
+//!   mantissa bounds, found once per tRCD fraction by bisection on the
+//!   exact chain, split the mantissa range into: `z ≤ −8.6` (always 0),
+//!   `|z| ≤ 8.0` (metastable), `z ≥ 8.6` (always 1), and two thin bands in
+//!   between. Integer range checks on the mantissa place a cell, without
+//!   a branch.
+//! * Only cells in the bands — about 3% at the generator's operating point
+//!   — run the exact chain (`std_normal_cdf` → [`BitThreshold::quantize`])
+//!   to be classified. Probabilities and entropies still run it for the
+//!   metastable cells, but skip the deterministic majority, whose
+//!   probability is exactly 0.0 or 1.0 and entropy exactly 0.
+//!
+//! **Why it is exact.** The CDF is strictly inside (0, 1) for
+//! `|z| ≤ CDF_INTERIOR_Z` (8.0) and exactly 0.0/1.0 for
+//! `|z| ≥ ENTROPY_SATURATION_Z` (8.6); both are pinned by dense tests in
+//! `math`. Its saturation edges (z ≈ 8.245 and z ≈ −8.376) lie inside the
+//! band with over 0.2 to spare. The computed bias is monotone in `m` up to
+//! rounding wobble (products and quotients by positive constants round
+//! monotonically, and Acklam's Φ⁻¹ deviates from the monotone Φ⁻¹ by a
+//! relative 1.15e-9), many orders of magnitude below that margin. So every
+//! cell outside the bands has the class the exact chain would give it.
+//! A margin spread that is not a positive finite number has no such
+//! monotone map: the bounds then put every cell in the band, and the
+//! exact chain decides them all. The proptests pin the per-cell class to
+//! `BitThreshold::quantize(trcd_read_one_probability(..))` on random cells
+//! and on both sides of every bound, and the row probabilities and block
+//! entropies to the bit.
 
-use crate::math::{binary_entropy_bits, normal_at, std_normal_cdf, uniform_at};
+use crate::math::{
+    binary_entropy_bits, hash_to_std_normal, normal_at, std_normal_cdf, uniform_at, CoordHasher,
+    CDF_INTERIOR_Z, ENTROPY_SATURATION_Z,
+};
+use crate::sampler::BitThreshold;
 use crate::variation::ModuleVariation;
 use qt_dram_core::{RowAddr, CACHE_BLOCK_BITS};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Calibration of the reduced-timing failure mechanisms.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -104,21 +149,47 @@ impl FailureModel {
         bitline: usize,
         trcd_fraction: f64,
     ) -> f64 {
-        if trcd_fraction >= 1.0 {
-            return 0.0;
+        match self.trcd_depth(trcd_fraction) {
+            Some(depth) => {
+                std_normal_cdf(self.trcd_bias(self.trcd_hasher(row).hash(bitline as u64, 0), depth))
+            }
+            None => 0.0,
         }
-        // Per-cell access speed margin: most cells are far from the critical
-        // window; the metastable ones sit near zero margin.
-        let margin = self.params.trcd_margin_spread
-            * normal_at(self.variation.seed() ^ tag::TRCD, row.index() as u64, bitline as u64, 0);
-        // How deep into the unreliable region this reduction goes.
+    }
+
+    /// The per-row prefix of the tRCD cell hash.
+    fn trcd_hasher(&self, row: RowAddr) -> CoordHasher {
+        CoordHasher::new(self.variation.seed() ^ tag::TRCD, row.index() as u64)
+    }
+
+    /// How deep into the unreliable region a reduction to `trcd_fraction`
+    /// goes (clamped away from zero), or `None` when it is not reduced
+    /// enough to matter and every read is reliable.
+    fn trcd_depth(&self, trcd_fraction: f64) -> Option<f64> {
+        if trcd_fraction >= 1.0 {
+            return None;
+        }
         let depth = (self.params.trcd_critical_fraction - trcd_fraction)
             / self.params.trcd_critical_fraction;
         if depth <= 0.0 {
-            // Not reduced enough to matter: the read is reliable.
-            return 0.0;
+            return None;
         }
-        std_normal_cdf(margin / depth.max(1e-3))
+        Some(depth.max(1e-3))
+    }
+
+    /// Normalised bias of the cell with tRCD hash `hash`: its access speed
+    /// margin over the reduction depth. Most cells are far from the
+    /// critical window; the metastable ones sit near zero margin.
+    fn trcd_bias(&self, hash: u64, depth: f64) -> f64 {
+        self.params.trcd_margin_spread * hash_to_std_normal(hash) / depth
+    }
+
+    /// The classify-first scanner of reduced-tRCD reads at `trcd_fraction`
+    /// (see the module docs): its set-up costs a few hundred evaluations
+    /// of the probability chain, so build it once per fraction and reuse
+    /// it across rows.
+    pub fn trcd_classifier(&self, trcd_fraction: f64) -> TrcdClassifier<'_> {
+        TrcdClassifier::new(self, trcd_fraction)
     }
 
     /// Shannon entropy harvested from one cell under a reduced-tRCD read.
@@ -189,6 +260,150 @@ impl FailureModel {
             b += bitline_stride;
         }
         sum * row_bits as f64 / count as f64
+    }
+}
+
+/// One past the largest unit-interval mantissa `hash >> 11` (see
+/// [`crate::math::hash_to_unit`]).
+const MANTISSA_END: u64 = 1 << 53;
+
+/// The smallest mantissa in `from..MANTISSA_END` satisfying a predicate
+/// that is monotone over that range, or `MANTISSA_END` if none does.
+fn first_mantissa(from: u64, pred: impl Fn(u64) -> bool) -> u64 {
+    let (mut lo, mut hi) = (from, MANTISSA_END);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Exact classify-first scanner of reduced-tRCD reads at one tRCD
+/// fraction, built by [`FailureModel::trcd_classifier`]. Every result is
+/// bit-identical to evaluating [`FailureModel::trcd_read_one_probability`]
+/// cell by cell; the module docs give the argument.
+#[derive(Debug, Clone, Copy)]
+pub struct TrcdClassifier<'a> {
+    model: &'a FailureModel,
+    /// `None` when the fraction is too mild to matter (every cell reads 0).
+    depth: Option<f64>,
+    /// Mantissa bounds `[zero_end, interior_start, interior_end, one_start]`:
+    /// below `zero_end` a cell always reads 0, in
+    /// `interior_start..interior_end` it is metastable, from `one_start` on
+    /// it always reads 1, and in between the exact chain decides.
+    bounds: [u64; 4],
+}
+
+impl<'a> TrcdClassifier<'a> {
+    fn new(model: &'a FailureModel, trcd_fraction: f64) -> Self {
+        let depth = model.trcd_depth(trcd_fraction);
+        let spread = model.params.trcd_margin_spread;
+        let bounds = match depth {
+            None => [MANTISSA_END; 4],
+            // No monotone map from mantissa to bias: the exact chain
+            // decides every cell.
+            Some(_) if !(spread > 0.0 && spread.is_finite()) => [0, 0, 0, MANTISSA_END],
+            Some(depth) => {
+                // The top mantissa maps to u = 1.0, outside Φ⁻¹'s domain;
+                // the search reads its neighbour's bias in its place.
+                let bias = |m: u64| model.trcd_bias(m.min(MANTISSA_END - 2) << 11, depth);
+                let zero_end = first_mantissa(0, |m| bias(m) > -ENTROPY_SATURATION_Z);
+                let interior_start = first_mantissa(zero_end, |m| bias(m) >= -CDF_INTERIOR_Z);
+                let interior_end = first_mantissa(interior_start, |m| bias(m) > CDF_INTERIOR_Z);
+                let one_start = first_mantissa(interior_end, |m| bias(m) >= ENTROPY_SATURATION_Z);
+                [zero_end, interior_start, interior_end, one_start]
+            }
+        };
+        TrcdClassifier { model, depth, bounds }
+    }
+
+    /// Number of metastable cells among `bitlines` of `row` — the
+    /// row-selection score of the D-RaNGe generator.
+    pub fn metastable_count(&self, row: RowAddr, bitlines: Range<usize>) -> usize {
+        let hasher = self.model.trcd_hasher(row);
+        let mut count = 0;
+        for bitline in bitlines {
+            let hash = hasher.hash(bitline as u64, 0);
+            let (metastable, edge) = self.zone(hash);
+            count += usize::from(metastable);
+            if edge {
+                count += usize::from(self.chain_is_metastable(hash));
+            }
+        }
+        count
+    }
+
+    /// The read-one probabilities of `bitlines` of `row`, bit-identical to
+    /// [`FailureModel::trcd_read_one_probability`]: the chain runs for
+    /// metastable and band cells only; the rest read exactly 0.0 or 1.0.
+    pub fn row_probabilities(&self, row: RowAddr, bitlines: Range<usize>) -> Vec<f64> {
+        let hasher = self.model.trcd_hasher(row);
+        bitlines
+            .map(|bitline| {
+                let hash = hasher.hash(bitline as u64, 0);
+                match self.zone(hash) {
+                    (false, false) => f64::from(u8::from(self.always_one(hash))),
+                    _ => self.probability(hash),
+                }
+            })
+            .collect()
+    }
+
+    /// Shannon entropy of `bitlines` of `row` (sum over the cells in
+    /// ascending order), bit-identical to summing
+    /// [`FailureModel::trcd_cell_entropy`] over a non-empty range: a cell
+    /// outside the metastable zone and the bands has entropy exactly 0,
+    /// so it is skipped.
+    pub fn entropy(&self, row: RowAddr, bitlines: Range<usize>) -> f64 {
+        let hasher = self.model.trcd_hasher(row);
+        let mut sum = 0.0;
+        for bitline in bitlines {
+            let hash = hasher.hash(bitline as u64, 0);
+            if self.zone(hash) != (false, false) {
+                sum += binary_entropy_bits(self.probability(hash));
+            }
+        }
+        sum
+    }
+
+    /// The kernel: the zone of the cell with tRCD hash `hash`, as
+    /// `(metastable, edge)` — `metastable` if the cell is certainly
+    /// metastable, `edge` if it lies in a band where the exact chain must
+    /// decide. A cell in neither always reads the same value, 1 if
+    /// [`TrcdClassifier::always_one`]. Integer range checks on the
+    /// mantissa, no branch.
+    #[inline]
+    fn zone(&self, hash: u64) -> (bool, bool) {
+        let [zero_end, interior_start, interior_end, one_start] = self.bounds;
+        let m = hash >> 11;
+        let metastable = m.wrapping_sub(interior_start) < interior_end - interior_start;
+        // Each band is its own range check: deriving the bands from the
+        // metastable zone lets the compiler branch on it, which costs
+        // twice the scan on this unpredictable ~40% split.
+        let edge = (m.wrapping_sub(zero_end) < interior_start - zero_end)
+            | (m.wrapping_sub(interior_end) < one_start - interior_end);
+        (metastable, edge)
+    }
+
+    /// Whether a cell outside the metastable zone and the bands always
+    /// reads 1 (else it always reads 0).
+    #[inline]
+    fn always_one(&self, hash: u64) -> bool {
+        hash >> 11 >= self.bounds[3]
+    }
+
+    /// The exact class of a band cell.
+    fn chain_is_metastable(&self, hash: u64) -> bool {
+        !BitThreshold::quantize(self.probability(hash)).is_deterministic()
+    }
+
+    /// The exact chain for the cell with tRCD hash `hash`.
+    fn probability(&self, hash: u64) -> f64 {
+        self.depth.map_or(0.0, |depth| std_normal_cdf(self.model.trcd_bias(hash, depth)))
     }
 }
 
@@ -275,10 +490,125 @@ impl RetentionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qt_dram_core::DramGeometry;
 
     fn variation() -> ModuleVariation {
         ModuleVariation::generate(&DramGeometry::ddr4_4gb_x8_module(), 77)
+    }
+
+    fn quantized_metastable(p: f64) -> bool {
+        !BitThreshold::quantize(p).is_deterministic()
+    }
+
+    /// Checks every classify-first answer on `bitlines` of `row` against
+    /// the cell-by-cell chain.
+    fn assert_classifier_exact(m: &FailureModel, row: RowAddr, bitlines: Range<usize>, f: f64) {
+        let classifier = m.trcd_classifier(f);
+        let exact: Vec<f64> =
+            bitlines.clone().map(|b| m.trcd_read_one_probability(row, b, f)).collect();
+        for (b, &p) in bitlines.clone().zip(&exact) {
+            let metastable = classifier.metastable_count(row, b..b + 1) == 1;
+            assert_eq!(metastable, quantized_metastable(p), "bitline {b}");
+        }
+        let count = exact.iter().filter(|&&p| quantized_metastable(p)).count();
+        assert_eq!(classifier.metastable_count(row, bitlines.clone()), count);
+        let probs = classifier.row_probabilities(row, bitlines.clone());
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&probs), bits(&exact));
+        let entropy: f64 = bitlines.clone().map(|b| m.trcd_cell_entropy(row, b, f)).sum();
+        assert_eq!(classifier.entropy(row, bitlines).to_bits(), entropy.to_bits());
+    }
+
+    #[test]
+    fn trcd_classifier_is_exact_at_the_generator_operating_point() {
+        let m = FailureModel::new(variation());
+        for row in [0, 512, 7_680] {
+            assert_classifier_exact(&m, RowAddr::new(row), 0..4096, 0.3);
+        }
+        // Ranges that start past bitline 0, down to a single cell.
+        assert_classifier_exact(&m, RowAddr::new(9), 37..1000, 0.3);
+        assert_classifier_exact(&m, RowAddr::new(9), 5..6, 0.3);
+    }
+
+    #[test]
+    fn trcd_classifier_handles_degenerate_parameters() {
+        for spread in [7.5, 0.0, -7.5, 1e-3, 1e6, f64::MAX] {
+            let params = FailureParams { trcd_margin_spread: spread, ..FailureParams::calibrated() };
+            let m = FailureModel::with_params(variation(), params);
+            for f in [0.3, 0.0, -0.5, 0.549, 0.55, 0.6, 1.0, 1.5] {
+                assert_classifier_exact(&m, RowAddr::new(3), 0..300, f);
+            }
+        }
+    }
+
+    #[test]
+    fn trcd_classifier_runs_the_chain_everywhere_without_a_monotone_map() {
+        // A non-finite spread puts every cell in the band (and makes the
+        // chain return NaN for some, which the bit comparison covers).
+        for spread in [f64::NAN, f64::INFINITY, -0.0] {
+            let params = FailureParams { trcd_margin_spread: spread, ..FailureParams::calibrated() };
+            let m = FailureModel::with_params(variation(), params);
+            assert_eq!(m.trcd_classifier(0.3).bounds, [0, 0, 0, MANTISSA_END]);
+            assert_classifier_exact(&m, RowAddr::new(3), 0..300, 0.3);
+        }
+    }
+
+    #[test]
+    fn trcd_classifier_band_is_thin_at_the_generator_operating_point() {
+        // About 3% of the mantissa range needs the exact chain at 0.3.
+        let m = FailureModel::new(variation());
+        let [zero_end, interior_start, interior_end, one_start] = m.trcd_classifier(0.3).bounds;
+        assert!(zero_end < interior_start && interior_start < interior_end);
+        assert!(interior_end < one_start && one_start < MANTISSA_END);
+        let band = (interior_start - zero_end) + (one_start - interior_end);
+        let share = band as f64 / MANTISSA_END as f64;
+        assert!(share > 0.01 && share < 0.05, "band share {share}");
+    }
+
+    proptest! {
+        /// The per-cell class equals the quantized exact probability on
+        /// random modules, rows, cells and fractions below the critical
+        /// one; counts, probabilities and entropies agree to the bit.
+        #[test]
+        fn prop_trcd_classifier_matches_the_exact_chain(
+            seed in any::<u64>(),
+            row in 0usize..32_768,
+            start in 0usize..65_000,
+            f in 0.0f64..0.55,
+        ) {
+            prop_assume!(f > 0.0);
+            let m = FailureModel::new(ModuleVariation::generate(&DramGeometry::tiny_test(), seed));
+            assert_classifier_exact(&m, RowAddr::new(row), start..start + 130, f);
+        }
+
+        /// Pinned cases on both sides of each mantissa bound: the two
+        /// mantissas below and above every bound, with random low hash
+        /// bits, classify as the exact chain does.
+        #[test]
+        fn prop_trcd_classifier_is_exact_around_every_bound(
+            seed in any::<u64>(),
+            f in 0.0f64..0.55,
+            low in any::<u64>(),
+        ) {
+            prop_assume!(f > 0.0);
+            let m = FailureModel::new(ModuleVariation::generate(&DramGeometry::tiny_test(), seed));
+            let classifier = m.trcd_classifier(f);
+            let depth = m.trcd_depth(f).expect("below the critical fraction");
+            for bound in classifier.bounds {
+                for mantissa in bound.saturating_sub(2)..(bound + 2).min(MANTISSA_END) {
+                    let hash = (mantissa << 11) | (low & 0x7ff);
+                    let class = BitThreshold::quantize(std_normal_cdf(m.trcd_bias(hash, depth)));
+                    let (metastable, edge) = classifier.zone(hash);
+                    let metastable = metastable || edge && classifier.chain_is_metastable(hash);
+                    prop_assert_eq!(metastable, !class.is_deterministic());
+                    if !metastable && !edge {
+                        let one = class == BitThreshold::AlwaysOne;
+                        prop_assert_eq!(classifier.always_one(hash), one);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod variation;
 
 pub use conditions::{OperatingConditions, TemperatureRamp};
 pub use entropy::{binary_entropy, bitstream_entropy, entropy_from_counts};
-pub use failures::{FailureModel, RetentionModel};
+pub use failures::{FailureModel, RetentionModel, TrcdClassifier};
 pub use model::{QuacAnalogModel, SegmentProber};
 pub use noise::NoiseRng;
 pub use params::AnalogParams;

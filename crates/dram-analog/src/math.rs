@@ -103,6 +103,15 @@ pub fn binary_entropy_bits(p: f64) -> f64 {
 /// zero. Verified by `cdf_saturates_beyond_the_entropy_cutoff`.
 pub const ENTROPY_SATURATION_Z: f64 = 8.6;
 
+/// Normalised bias magnitude up to which `std_normal_cdf` stays strictly
+/// inside (0, 1) in `f64` arithmetic. The CDF reaches exactly 1.0 at
+/// z ≈ 8.245 and exactly 0.0 at z ≈ −8.376, so the band between this and
+/// [`ENTROPY_SATURATION_Z`] holds both saturation edges with a margin of
+/// over 0.2 on each side — far above any rounding wobble of the chain.
+/// Classify-first scans (see `failures`) decide cells outside the band
+/// without evaluating the CDF. Verified by `cdf_is_interior_inside_the_band`.
+pub(crate) const CDF_INTERIOR_Z: f64 = 8.0;
+
 /// Resolution of the [`entropy_of_normal_bias`] interpolation table.
 const ENTROPY_TABLE_SIZE: usize = 1 << 16;
 
@@ -268,6 +277,38 @@ mod tests {
             assert_eq!(binary_entropy_bits(std_normal_cdf(z)), 0.0);
             z += 0.0371;
         }
+    }
+
+    #[test]
+    fn cdf_saturates_densely_past_the_band() {
+        // The classify-first scans rely on saturation from the band's
+        // outer edge on, so check its first stretch at fine resolution.
+        let mut z = ENTROPY_SATURATION_Z;
+        while z < ENTROPY_SATURATION_Z + 0.05 {
+            assert_eq!(std_normal_cdf(z), 1.0, "z = {z}");
+            assert_eq!(std_normal_cdf(-z), 0.0, "z = {z}");
+            z += 1e-6;
+        }
+    }
+
+    #[test]
+    fn cdf_is_interior_inside_the_band() {
+        let interior = |z: f64| {
+            for x in [z, -z] {
+                let p = std_normal_cdf(x);
+                assert!(p > 0.0 && p < 1.0, "z = {x}: p = {p}");
+            }
+        };
+        let mut z = 0.0;
+        while z < CDF_INTERIOR_Z - 0.05 {
+            interior(z);
+            z += 1e-4;
+        }
+        while z <= CDF_INTERIOR_Z {
+            interior(z);
+            z += 1e-6;
+        }
+        interior(CDF_INTERIOR_Z);
     }
 
     #[test]

@@ -309,6 +309,31 @@ pub fn longest_run_of_ones_reference(bits: &BitVec) -> TestResult {
     result("longest_run_ones_in_a_block", igamc(k as f64 / 2.0, chi2 / 2.0))
 }
 
+/// GF(2) rank of a 32×32 matrix by leading-bit basis insertion: each row
+/// is reduced against the basis vectors indexed by their leading bit until
+/// it vanishes (dependent) or leads with a free bit (a new basis vector).
+/// No row swaps, no full elimination sweep — the hot path of
+/// [`binary_matrix_rank`]; [`gf2_rank`], a different algorithm, serves the
+/// reference.
+fn gf2_rank_basis(rows: &[u32; 32]) -> usize {
+    let mut basis = [0u32; 32];
+    let mut rank = 0;
+    for &row in rows {
+        let mut v = row;
+        while v != 0 {
+            let lead = 31 - v.leading_zeros() as usize;
+            if basis[lead] == 0 {
+                basis[lead] = v;
+                rank += 1;
+                break;
+            }
+            v ^= basis[lead];
+        }
+    }
+    rank
+}
+
+/// GF(2) rank by Gauss–Jordan elimination with row swaps (the reference).
 fn gf2_rank(rows: &mut [u32], size: usize) -> usize {
     let mut rank = 0;
     for col in (0..size).rev() {
@@ -353,7 +378,7 @@ pub fn binary_matrix_rank(bits: &BitVec) -> TestResult {
             let v = bits.word_at(mi * M * M + r * M) as u32;
             *row = v.reverse_bits();
         }
-        match gf2_rank(&mut rows, M) {
+        match gf2_rank_basis(&rows) {
             r if r == M => f_full += 1,
             r if r == M - 1 => f_minus1 += 1,
             _ => f_rest += 1,
@@ -362,7 +387,8 @@ pub fn binary_matrix_rank(bits: &BitVec) -> TestResult {
     result("binary_matrix_rank", matrix_rank_p_value(f_full, f_minus1, f_rest, matrices))
 }
 
-/// Bit-at-a-time reference for [`binary_matrix_rank`].
+/// Bit-at-a-time reference for [`binary_matrix_rank`], ranking with the
+/// elimination algorithm rather than basis insertion.
 pub fn binary_matrix_rank_reference(bits: &BitVec) -> TestResult {
     const M: usize = 32;
     let n = bits.len();
@@ -1781,6 +1807,32 @@ mod tests {
     // ---- word-parallel vs reference equivalence (bit-identical p-values) ----
 
     proptest! {
+        /// Basis insertion and elimination agree on every 32×32 matrix:
+        /// random ones (mostly full rank or one short) and ones built from
+        /// `k` random generator rows, so every rank 0..=32 is exercised.
+        #[test]
+        fn prop_gf2_rank_basis_matches_elimination(
+            seed in any::<u64>(),
+            k in 0usize..=32,
+            combine in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let generators: Vec<u32> = (0..k).map(|_| rng.gen::<u32>()).collect();
+            let mut rows = [0u32; 32];
+            for row in rows.iter_mut() {
+                *row = if combine {
+                    generators.iter().filter(|_| rng.gen::<bool>()).fold(0, |acc, g| acc ^ g)
+                } else {
+                    rng.gen::<u32>()
+                };
+            }
+            let fast = gf2_rank_basis(&rows);
+            prop_assert_eq!(fast, gf2_rank(&mut rows, 32));
+            if combine {
+                prop_assert!(fast <= k);
+            }
+        }
+
         #[test]
         fn prop_counting_tests_match_reference(
             kind in 0u8..4,

@@ -40,12 +40,13 @@ facade-tests:
     QUAC_THREADS=1 cargo test -q --test facade
     QUAC_THREADS=4 cargo test -q --test facade
 
-# The entropy-mesh suites: heterogeneous backends, tiered placement,
-# cross-source mixing, the correlation check, and the QUAC-tier-loss chaos
-# campaign — under the same QUAC_THREADS matrix as CI.
+# The entropy-mesh suite: heterogeneous backends, tiered placement,
+# cross-source mixing, and the correlation check — under the same
+# QUAC_THREADS matrix as CI. The QUAC-tier-loss campaign runs with the
+# other chaos campaigns (`just chaos-tests`).
 mesh-tests:
-    QUAC_THREADS=1 cargo test -q --test mesh --test chaos_campaigns
-    QUAC_THREADS=4 cargo test -q --test mesh --test chaos_campaigns
+    QUAC_THREADS=1 cargo test -q --test mesh
+    QUAC_THREADS=4 cargo test -q --test mesh
 
 # The system demo with the Prometheus metrics exposition of the burst run
 # appended — what scraping the service would return.

@@ -6,17 +6,22 @@
 //! validation and fault attribution reproducible. These digests pin the
 //! stream produced by the bit-sliced sampling + batched-SHA pipeline; any
 //! change to noise consumption order, lane packing, or digest batching shows
-//! up here as a one-line diff. If a stream change is *intentional* (it is a
+//! up here as a one-line diff. The D-RaNGe and retention baseline backends
+//! are pinned the same way (first 64 KiB, plus the f64 bits of their
+//! advertised class), which also pins the scans that choose their rows. If a stream change is *intentional* (it is a
 //! breaking change — say so in the changelog), regenerate the constants by
 //! hashing the first MiB / 64 KiB per configuration below.
 
+use quac_trng_repro::baselines::{DRangeTrng, RetentionTrng};
 use quac_trng_repro::crypto::Sha256;
 use quac_trng_repro::dram_analog::{
-    ModuleVariation, OperatingConditions, QuacAnalogModel, PAPER_MODULES,
+    FailureModel, ModuleVariation, OperatingConditions, QuacAnalogModel, RetentionModel,
+    PAPER_MODULES,
 };
 use quac_trng_repro::dram_core::{DataPattern, DramGeometry};
 use quac_trng_repro::trng::characterize::{characterize_module, CharacterizationConfig};
 use quac_trng_repro::trng::pipeline::QuacTrng;
+use quac_trng_repro::trng::{BackendClass, EntropyBackend};
 
 fn hex(digest: &[u8]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -108,4 +113,71 @@ fn golden_streams_are_identical_through_the_reference_fill_path() {
     reference.fill_bytes_reference(&mut bytes);
     let mut fast = tiny_trng(8, 13);
     assert_eq!(fast.generate_bytes(64 << 10), bytes);
+}
+
+// ---- baseline generators (the D-RaNGe and retention tiers of the mesh) ----
+
+/// Hashes the first 64 KiB of a baseline backend's stream.
+fn backend_digest(backend: &mut dyn EntropyBackend) -> String {
+    let mut bytes = vec![0u8; 64 << 10];
+    backend.fill_bytes(&mut bytes);
+    hex(&Sha256::digest(&bytes))
+}
+
+/// The advertised class, as the raw bits of its two figures.
+fn class_bits(class: BackendClass) -> (u64, u64) {
+    (class.throughput_gbps.to_bits(), class.latency_256bit_ns.to_bits())
+}
+
+#[test]
+fn golden_drange_tiny_module() {
+    let geom = DramGeometry::tiny_test();
+    let failures = FailureModel::new(ModuleVariation::generate(&geom, 8));
+    let mut d = DRangeTrng::new(&failures, &geom, 0xD7A6);
+    assert_eq!(class_bits(d.class()), (4613536615873793604, 4633491325566898022));
+    assert_eq!(
+        backend_digest(&mut d),
+        "e295cf86d0cb7bec6d9352b28b6e4cb2956dd26a653feef871105027bd4a6377",
+    );
+}
+
+#[test]
+fn golden_drange_paper_module_m1() {
+    let profile = &PAPER_MODULES[0];
+    let failures = FailureModel::new(profile.variation());
+    let mut d = DRangeTrng::new(&failures, &profile.geometry(), 0xD7A6);
+    assert_eq!(class_bits(d.class()), (4613075045672173236, 4633491325566898022));
+    assert_eq!(
+        backend_digest(&mut d),
+        "110a29c796819c826f0886f212a22452d7e0b22187ece0e9c2f03aa54be09582",
+    );
+}
+
+#[test]
+fn golden_retention_tiny_module() {
+    let geom = DramGeometry::tiny_test();
+    let retention = RetentionModel::new(ModuleVariation::generate(&geom, 8));
+    let mut r = RetentionTrng::new(&retention, &geom, 0x7A1D);
+    assert_eq!(r.pause_s().to_bits(), 4655430540549784157);
+    assert_eq!(class_bits(r.class()), (4610785298501913804, 4643284915805844576));
+    assert_eq!(
+        backend_digest(&mut r),
+        "899cf42e1d9b77f3b4b8c6075f505537a2b404e707fca825e8b22815af58a94b",
+    );
+}
+
+#[test]
+fn golden_retention_row_scan() {
+    // 4096 rows per bank: eight candidate rows compete for the four burst
+    // rows, so the stream pins the row-selection scan, not only the
+    // sampling (the tiny geometry has a single candidate row).
+    let geom = DramGeometry { subarrays_per_bank: 64, ..DramGeometry::tiny_test() };
+    let retention = RetentionModel::new(ModuleVariation::generate(&geom, 8));
+    let mut r = RetentionTrng::new(&retention, &geom, 0x7A1D);
+    assert_eq!(r.pause_s().to_bits(), 4653768110129252013);
+    assert_eq!(class_bits(r.class()), (4610785298501913804, 4643284915805844576));
+    assert_eq!(
+        backend_digest(&mut r),
+        "a274491b78fad713b8cb3bfddd1707889502283e28729f8c2ec8a5a9f4bc8222",
+    );
 }
