@@ -233,11 +233,11 @@ fn bench_rng_service(c: &mut Criterion) {
 fn bench_rng_service_validation(c: &mut Criterion) {
     // The continuous-validation acceptance bench: the same 4-client × 16 KiB
     // round trip as `rng_service_4clients_2shards_64KiB`, once with the
-    // validator tap off and once on (50 kb windows, lossy tap, 2% sampled
+    // validation tap off and once on (50 kb windows, lossy tap, 2% sampled
     // coverage — the budget a core-constrained host like the CI container
     // runs, since grading costs several times generation per byte; hosts
-    // with spare cores set `target_coverage: 1.0` and the validator rides a
-    // free core). The pair is gated in `bench_check`: validation-on must
+    // with spare cores set `target_coverage: 1.0` and the per-shard graders
+    // ride free cores). The pair is gated in `bench_check`: validation-on must
     // stay within 10% of validation-off — the tap itself is a quota check
     // plus an occasional copy + bounded try_send.
     use qt_rng_service::{ClientId, Priority, RngService, RngServiceConfig, ValidationConfig};
@@ -271,7 +271,7 @@ fn bench_rng_service_validation(c: &mut Criterion) {
             },
         );
         // Warm the validation loop into its lossy steady state (tap queue
-        // saturated, validator grinding its backlog) before measuring, so
+        // saturated, graders grinding their backlog) before measuring, so
         // the samples reflect sustained operation rather than the cheap
         // first seconds while the bounded queue is still filling.
         for _ in 0..32 {
@@ -374,7 +374,7 @@ fn bench_rng_service_drift(c: &mut Criterion) {
                 ..RngServiceConfig::default()
             },
         );
-        // Warm past the threshold ramp-in and into the validator's lossy
+        // Warm past the threshold ramp-in and into the graders' lossy
         // steady state before measuring.
         for _ in 0..32 {
             let tickets: Vec<_> = (0..CLIENTS)

@@ -308,9 +308,7 @@ impl<'a> TrcdClassifier<'a> {
             // decides every cell.
             Some(_) if !(spread > 0.0 && spread.is_finite()) => [0, 0, 0, MANTISSA_END],
             Some(depth) => {
-                // The top mantissa maps to u = 1.0, outside Φ⁻¹'s domain;
-                // the search reads its neighbour's bias in its place.
-                let bias = |m: u64| model.trcd_bias(m.min(MANTISSA_END - 2) << 11, depth);
+                let bias = |m: u64| model.trcd_bias(m << 11, depth);
                 let zero_end = first_mantissa(0, |m| bias(m) > -ENTROPY_SATURATION_Z);
                 let interior_start = first_mantissa(zero_end, |m| bias(m) >= -CDF_INTERIOR_Z);
                 let interior_end = first_mantissa(interior_start, |m| bias(m) > CDF_INTERIOR_Z);

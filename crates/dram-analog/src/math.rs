@@ -197,9 +197,11 @@ impl CoordHasher {
 
 /// Maps a 64-bit hash to the open unit interval (0, 1), excluding endpoints.
 pub fn hash_to_unit(h: u64) -> f64 {
-    // 53 significant bits, shifted into (0, 1).
+    // 53 significant bits, shifted into (0, 1). For the top mantissa,
+    // `2^53 − 1 + 0.5` rounds to 2^53 and the quotient to exactly 1.0, so
+    // that one input is clamped to the largest double below 1.0.
     let mantissa = (h >> 11) as f64;
-    (mantissa + 0.5) / (1u64 << 53) as f64
+    ((mantissa + 0.5) / (1u64 << 53) as f64).min(1.0 - f64::EPSILON / 2.0)
 }
 
 /// Maps a 64-bit hash to a standard normal variate via the inverse CDF.
@@ -386,6 +388,20 @@ mod tests {
         mean /= n as f64;
         assert!(min < 0.01 && max > 0.99);
         assert!((mean - 0.5).abs() < 0.02);
+    }
+
+    #[test]
+    fn extreme_hashes_map_strictly_inside_the_unit_interval() {
+        for h in [0, u64::MAX, u64::MAX << 11, ((u64::MAX >> 11) - 1) << 11] {
+            let u = hash_to_unit(h);
+            assert!(u > 0.0 && u < 1.0, "hash {h:#x} mapped to {u}");
+            assert!(hash_to_std_normal(h).is_finite(), "hash {h:#x}");
+        }
+        // Only the top mantissa is clamped: it lands on the largest double
+        // below 1.0, still above its neighbour.
+        assert_eq!(hash_to_unit(u64::MAX), 1.0 - f64::EPSILON / 2.0);
+        assert!(hash_to_unit(u64::MAX) > hash_to_unit(u64::MAX - (1 << 11)));
+        assert_eq!(hash_to_unit(0), 0.5 / (1u64 << 53) as f64);
     }
 
     proptest! {

@@ -46,9 +46,10 @@
 //!
 //! * **dft (spectral)** — the production path runs a *real-input* FFT
 //!   ([`crate::special::RealFftPlan`]): even/odd packing into a half-length
-//!   complex transform with precomputed twiddles, plans cached per length in
-//!   a thread-local map (a battery hits the same length repeatedly). About
-//!   half the butterfly work and no per-call trigonometry.
+//!   complex transform with precomputed twiddles, plans cached per length
+//!   once per process and shared by every thread (batteries hit the same
+//!   length repeatedly, often from freshly spawned threads). About half the
+//!   butterfly work and no per-call trigonometry.
 //!
 //! Every rewritten test keeps its original bit-at-a-time implementation as a
 //! public `*_reference` twin. The references are the executable
@@ -64,9 +65,7 @@
 use crate::special::{erfc, fft, igamc, std_normal_cdf, RealFftPlan};
 use crate::{Applicability, TestResult};
 use qt_dram_core::BitVec;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn result(name: &'static str, p_value: f64) -> TestResult {
     TestResult {
@@ -415,22 +414,26 @@ pub fn binary_matrix_rank_reference(bits: &BitVec) -> TestResult {
     result("binary_matrix_rank", matrix_rank_p_value(f_full, f_minus1, f_rest, matrices))
 }
 
-thread_local! {
-    /// Per-length [`RealFftPlan`] cache for the spectral test. A battery run
-    /// calls `dft` on many same-length streams; building the twiddle tables
-    /// and bit-reversal permutation once per length amortises to nothing.
-    static DFT_PLANS: RefCell<HashMap<usize, Rc<RealFftPlan>>> = RefCell::new(HashMap::new());
-}
+/// Process-wide per-length [`RealFftPlan`] cache for the spectral test.
+/// Building a plan's twiddle tables and bit-reversal permutation costs
+/// more than the transform itself, so each length is planned once
+/// per process and every thread shares it — a battery running on a freshly
+/// spawned thread (a per-shard grader, a `pass_rate` worker) finds the plan
+/// already built. Plans are keyed by power-of-two length, so the cache
+/// holds at most one entry per bit width.
+static DFT_PLANS: Mutex<Vec<Arc<RealFftPlan>>> = Mutex::new(Vec::new());
 
-fn dft_plan(n: usize) -> Rc<RealFftPlan> {
-    DFT_PLANS.with(|plans| {
-        Rc::clone(
-            plans
-                .borrow_mut()
-                .entry(n)
-                .or_insert_with(|| Rc::new(RealFftPlan::new(n))),
-        )
-    })
+fn dft_plan(n: usize) -> Arc<RealFftPlan> {
+    let mut plans = DFT_PLANS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(plan) = plans.iter().find(|plan| plan.len() == n) {
+        return Arc::clone(plan);
+    }
+    // Built under the lock: a second thread asking for the same length
+    // waits for this plan instead of building its own. A panic in the
+    // build leaves the list untouched, so a poisoned lock is still sound.
+    let plan = Arc::new(RealFftPlan::new(n));
+    plans.push(Arc::clone(&plan));
+    plan
 }
 
 /// 2.6 Discrete Fourier transform (spectral) test, via the cached
@@ -1802,6 +1805,19 @@ mod tests {
         let _ = dft(&b);
         let again = dft(&a);
         assert_identical(&first, &again);
+    }
+
+    #[test]
+    fn dft_plan_is_shared_across_threads() {
+        // Two threads asking for the same length get one plan, built once
+        // per process; a different length gets its own.
+        const N: usize = 1 << 13;
+        let [a, b] = [0, 1].map(|_| std::thread::spawn(|| dft_plan(N)));
+        let (a, b) = (a.join().unwrap(), b.join().unwrap());
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &dft_plan(N)));
+        assert_eq!(a.len(), N);
+        assert!(!Arc::ptr_eq(&a, &dft_plan(N / 2)));
     }
 
     // ---- word-parallel vs reference equivalence (bit-identical p-values) ----

@@ -6,8 +6,13 @@
 //! windows. This module owns the windowing: bytes are accumulated into a
 //! reused byte buffer, and every time a full window is available it is
 //! packed into a reused [`BitVec`] and run through
-//! [`crate::run_all_tests_with_threads`] — no per-window allocation beyond
-//! the battery's own internals.
+//! [`crate::run_all_tests_serial`] — no per-window allocation beyond the
+//! battery's own internals.
+//!
+//! A window is graded on the pushing thread, one test after another: a
+//! 50 kb window's battery is too short to pay for spawning workers per
+//! window. Parallelism belongs across streams instead — the RNG service
+//! gives each shard its own battery on its own long-lived grader thread.
 //!
 //! Windows are defined purely by arrival order: bytes `[k·W, (k+1)·W)` of
 //! everything pushed form window `k` (`W` = window bytes). A partial tail
@@ -15,8 +20,8 @@
 //! reset`] discards it, e.g. when a quarantined shard's stale bytes must
 //! not leak into its post-readmission health).
 
-use crate::{run_all_tests_with_threads, Significance, TestResult};
-use qt_dram_core::{worker_threads, BitVec};
+use crate::{run_all_tests_serial, Significance, TestResult};
+use qt_dram_core::BitVec;
 
 /// The verdict of one completed validation window.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +60,6 @@ impl WindowReport {
 #[derive(Debug)]
 pub struct WindowedBattery {
     window_bits: usize,
-    threads: usize,
     /// Accumulated bytes of the (partial) current window.
     pending: Vec<u8>,
     /// Reused packed window, always `window_bits` long.
@@ -65,26 +69,20 @@ pub struct WindowedBattery {
 
 impl WindowedBattery {
     /// Creates a battery over `window_bits`-bit windows (the service default
-    /// is the battery bench's 50 kb), running each window's tests across
-    /// [`worker_threads`] workers.
+    /// is the battery bench's 50 kb), grading each window serially on the
+    /// pushing thread.
     ///
     /// # Panics
     ///
     /// Panics if `window_bits` is zero or not a multiple of 8 (windows are
     /// carved from a byte stream).
     pub fn new(window_bits: usize) -> Self {
-        Self::with_threads(window_bits, worker_threads())
-    }
-
-    /// [`WindowedBattery::new`] with an explicit per-window worker count.
-    pub fn with_threads(window_bits: usize, threads: usize) -> Self {
         assert!(
             window_bits > 0 && window_bits % 8 == 0,
             "window must be a positive whole number of bytes, got {window_bits} bits"
         );
         WindowedBattery {
             window_bits,
-            threads,
             pending: Vec::with_capacity(window_bits / 8),
             bits: BitVec::zeros(window_bits),
             windows_completed: 0,
@@ -135,7 +133,7 @@ impl WindowedBattery {
                 *word = u64::from_le_bytes(le);
             }
             self.bits.clear_tail();
-            let results = run_all_tests_with_threads(&self.bits, self.threads);
+            let results = run_all_tests_serial(&self.bits);
             let report = WindowReport { index: self.windows_completed, results };
             self.windows_completed += 1;
             self.pending.clear();
@@ -147,7 +145,6 @@ impl WindowedBattery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_all_tests_serial;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -169,7 +166,7 @@ mod tests {
             .collect();
         assert_eq!(expected.len(), 3);
         for chunking in [1usize, 7, 64, 1999, stream.len()] {
-            let mut battery = WindowedBattery::with_threads(WINDOW_BITS, 1);
+            let mut battery = WindowedBattery::new(WINDOW_BITS);
             let mut seen = Vec::new();
             for chunk in stream.chunks(chunking) {
                 battery.push(chunk, |w| seen.push(w));
@@ -192,7 +189,7 @@ mod tests {
 
     #[test]
     fn one_push_can_complete_multiple_windows() {
-        let mut battery = WindowedBattery::with_threads(8_000, 1);
+        let mut battery = WindowedBattery::new(8_000);
         let mut indices = Vec::new();
         battery.push(&random_bytes(3500, 3), |w| indices.push(w.index));
         assert_eq!(indices, vec![0, 1, 2]);
@@ -201,7 +198,7 @@ mod tests {
 
     #[test]
     fn reset_discards_the_partial_window_only() {
-        let mut battery = WindowedBattery::with_threads(8_000, 1);
+        let mut battery = WindowedBattery::new(8_000);
         let mut windows = 0;
         battery.push(&random_bytes(1200, 5), |_| windows += 1);
         assert_eq!(windows, 1);
@@ -219,7 +216,7 @@ mod tests {
 
     #[test]
     fn good_windows_pass_and_constant_windows_fail() {
-        let mut battery = WindowedBattery::with_threads(16_000, 1);
+        let mut battery = WindowedBattery::new(16_000);
         let mut verdicts = Vec::new();
         battery.push(&random_bytes(2000, 11), |w| verdicts.push(w.passes(Significance::PAPER)));
         battery.push(&vec![0xFFu8; 2000], |w| {
@@ -233,23 +230,5 @@ mod tests {
     #[should_panic(expected = "whole number of bytes")]
     fn non_byte_windows_are_rejected() {
         let _ = WindowedBattery::new(50_001);
-    }
-
-    #[test]
-    fn threaded_windows_match_serial_windows() {
-        const WINDOW_BITS: usize = 16_000;
-        let stream = random_bytes(2 * WINDOW_BITS / 8, 13);
-        let mut serial = WindowedBattery::with_threads(WINDOW_BITS, 1);
-        let mut threaded = WindowedBattery::with_threads(WINDOW_BITS, 4);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        serial.push(&stream, |w| a.push(w));
-        threaded.push(&stream, |w| b.push(w));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            for (rx, ry) in x.results.iter().zip(&y.results) {
-                assert_eq!(rx.p_value.to_bits(), ry.p_value.to_bits(), "{}", rx.name);
-            }
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! Control plane: the policy seams ([`AdmissionPolicy`], [`RequalifyPolicy`],
 //! plus [`PlacementPolicy`] in
 //! [`crate::placement`]) and the orchestration loops that steer membership —
-//! the validator folding verdicts into [`ShardHealth`], quarantine failover,
-//! requalification, and the deadline-expiry sweep.
+//! the per-shard graders folding verdicts into [`ShardHealth`], quarantine
+//! failover, requalification, and the deadline-expiry sweep.
 //!
 //! Everything here decides *which* shard serves and *whether* a request is
 //! still worth serving; none of it generates a byte. The data plane — queue,
@@ -17,11 +17,11 @@ use crate::placement::{LeastLoaded, PlacementPolicy, TieredPlacement};
 use crate::request::{ClientId, RngRequest};
 use crate::state::{Lifecycle, RngServiceConfig, Shared, State};
 use crate::ticket::{Expired, ExpiryStage, Outcome};
-use crate::validate::{StreamValidator, TapChunk};
+use crate::validate::{ShardGrader, TapChunk};
 use qt_dram_core::BitVec;
 use quac_trng::EntropyBackend;
 use std::collections::HashMap;
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// What admission does while *every* shard is quarantined (the service is
@@ -318,7 +318,9 @@ pub(crate) fn requalify_shard(
             scratch.resize(window_bytes, 0);
             trng.fill_bytes(scratch);
             let bits = BitVec::from_bytes(scratch, vcfg.window_bits);
-            let pass = qt_nist_sts::run_all_tests(&bits)
+            // Graded serially on this worker, like served windows on the
+            // graders: no threads spawned per probation window.
+            let pass = qt_nist_sts::run_all_tests_serial(&bits)
                 .iter()
                 .all(|r| r.passes(vcfg.alpha));
             let mut st = shared.state.lock().expect("service state poisoned");
@@ -326,7 +328,7 @@ pub(crate) fn requalify_shard(
             if st.health[shard_idx].record_probation_window(pass, &vcfg.policy) {
                 st.stats.validation.readmissions += 1;
                 // A new stream epoch: any tap chunk from before this point
-                // (fenced-era bytes still queued at the validator) is stale
+                // (fenced-era bytes still queued at the grader) is stale
                 // and must not grade the fresh record.
                 st.shard_epoch[shard_idx] += 1;
                 // With a healthy shard back, re-place any work stranded on
@@ -353,47 +355,50 @@ pub(crate) fn requalify_shard(
     }
 }
 
-/// The validator thread: drains tapped chunks, windows them per shard,
-/// grades full windows with the word-parallel battery, and folds verdicts
-/// into shard health — quarantining a shard the moment a bound trips.
-pub(crate) fn validator_loop(shared: &Shared, rx: &mpsc::Receiver<TapChunk>, shard_count: usize) {
+fn lock_monitor(monitor: &Mutex<CorrelationMonitor>) -> MutexGuard<'_, CorrelationMonitor> {
+    monitor.lock().expect("correlation monitor poisoned")
+}
+
+/// One shard's grader thread: drains the shard's tapped chunks in stream
+/// order, grades full windows with the serial battery, and folds verdicts
+/// into the shard's health — quarantining it the moment a bound trips.
+/// Graders of different shards run in parallel; each folds only its own
+/// shard's windows, and with correlation monitoring on they share the one
+/// monitor. Exits when the shard's worker (the queue's only sender) exits.
+pub(crate) fn grader_loop(shared: &Shared, shard: usize, rx: &mpsc::Receiver<TapChunk>) {
     let vcfg = &shared.cfg.validation;
-    let mut validator = StreamValidator::new(shard_count, vcfg.window_bits);
-    let mut monitor = vcfg
-        .correlation
-        .enabled
-        .then(|| CorrelationMonitor::new(shard_count, vcfg.correlation));
+    let mut grader = ShardGrader::new(vcfg.window_bits);
     while let Ok(chunk) = rx.recv() {
         if !vcfg.lossless_tap {
             // Mirror of the worker-side increment: the occupancy estimate
-            // lets lossy workers skip copies the full queue would drop.
-            shared
-                .tap_fill
-                .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+            // lets a lossy worker skip copies its full queue would drop.
+            shared.tap_fill[shard].fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
         }
-        // Skip grading while aborting (but keep draining so lossless
-        // workers never block on a dead validator), for fenced-off shards
-        // (their tapped bytes predate the quarantine and are stale), and
-        // for chunks from a previous stream epoch (fenced-era bytes that
-        // sat in this queue across a readmission).
+        // Skip grading while aborting (but keep draining so a lossless
+        // worker never blocks on a dead grader), while the shard is fenced
+        // off (its tapped bytes predate the quarantine and are stale), and
+        // for chunks from a previous stream epoch (fenced-era bytes that sat
+        // in this queue across a readmission). Each drops the partial
+        // window too, whoever fenced the shard — its own window, or another
+        // grader's correlation trip.
         let skip = {
             let st = shared.state.lock().expect("service state poisoned");
             st.lifecycle == Lifecycle::Aborting
-                || !st.health[chunk.shard].is_serving()
-                || st.shard_epoch[chunk.shard] != chunk.epoch
+                || !st.health[shard].is_serving()
+                || st.shard_epoch[shard] != chunk.epoch
         };
         if skip {
-            validator.reset_shard(chunk.shard);
-            if let Some(monitor) = monitor.as_mut() {
-                monitor.reset_shard(chunk.shard);
+            grader.reset();
+            if let Some(monitor) = &shared.correlation {
+                lock_monitor(monitor).reset_shard(shard);
             }
             continue;
         }
         // Cross-correlation first: a common-mode conviction fences both
         // members of the pair, and the chunk's own battery grading is then
         // skipped (its shard just stopped serving).
-        if let Some(monitor) = monitor.as_mut() {
-            let outcome = monitor.ingest(chunk.shard, &chunk.bytes);
+        if let Some(monitor) = &shared.correlation {
+            let outcome = lock_monitor(monitor).ingest(shard, &chunk.bytes);
             if outcome.compared > 0 || !outcome.tripped.is_empty() {
                 let mut st = shared.state.lock().expect("service state poisoned");
                 st.stats.validation.correlation_windows += outcome.compared;
@@ -402,40 +407,45 @@ pub(crate) fn validator_loop(shared: &Shared, rx: &mpsc::Receiver<TapChunk>, sha
                     // Neither stream can be presumed sound: fence both and
                     // re-place their queued work, exactly like a windowed
                     // quarantine trip.
-                    for shard in [a, b] {
-                        if st.health[shard].is_serving() {
-                            st.health[shard].force_quarantine();
+                    for fenced in [a, b] {
+                        if st.health[fenced].is_serving() {
+                            st.health[fenced].force_quarantine();
                             st.stats.validation.quarantines += 1;
-                            failover_shard_queue(&mut st, &*shared.policies.placement, shard);
+                            failover_shard_queue(&mut st, &*shared.policies.placement, fenced);
                         }
                     }
                     shared.work.notify_all();
                     shared.space.notify_all();
                 }
                 drop(st);
-                for (a, b) in outcome.tripped {
-                    for shard in [a, b] {
-                        validator.reset_shard(shard);
-                        monitor.reset_shard(shard);
-                    }
+                // The peer's grader drops its own partial window at its
+                // next chunk (its shard is no longer serving).
+                let mut monitor = lock_monitor(monitor);
+                for fenced in outcome.tripped.iter().flat_map(|&(a, b)| [a, b]) {
+                    monitor.reset_shard(fenced);
                 }
             }
         }
         {
             // The correlation pass may have fenced this chunk's own shard.
             let st = shared.state.lock().expect("service state poisoned");
-            if !st.health[chunk.shard].is_serving() {
+            if !st.health[shard].is_serving() {
+                drop(st);
+                grader.reset();
                 continue;
             }
         }
         let mut fenced = false;
-        validator.ingest(&chunk, |report| {
+        grader.ingest(&chunk, |report| {
             let mut st = shared.state.lock().expect("service state poisoned");
-            if !st.health[chunk.shard].is_serving() {
-                return; // quarantined by an earlier window of this push
+            if !st.health[shard].is_serving() {
+                // Fenced by an earlier window of this push, or by another
+                // grader's correlation trip.
+                fenced = true;
+                return;
             }
             let pass = report.passes(vcfg.alpha);
-            let quarantine = st.health[chunk.shard].record_window(pass, &vcfg.policy);
+            let quarantine = st.health[shard].record_window(pass, &vcfg.policy);
             st.stats.validation.windows_validated += 1;
             if !pass {
                 st.stats.validation.windows_failed += 1;
@@ -448,7 +458,7 @@ pub(crate) fn validator_loop(shared: &Shared, rx: &mpsc::Receiver<TapChunk>, sha
                 // through a suspect generator. No-op when no shard is
                 // healthy — the requests then wait for readmission, their
                 // deadlines, or a drain.
-                failover_shard_queue(&mut st, &*shared.policies.placement, chunk.shard);
+                failover_shard_queue(&mut st, &*shared.policies.placement, shard);
                 // Wake the fenced shard's worker (to requalify), the
                 // failover targets (new work), and any parked submitter
                 // (which must observe the degraded state).
@@ -459,7 +469,7 @@ pub(crate) fn validator_loop(shared: &Shared, rx: &mpsc::Receiver<TapChunk>, sha
         if fenced {
             // Whatever partial window followed the quarantine decision is
             // stale stream content.
-            validator.reset_shard(chunk.shard);
+            grader.reset();
         }
     }
 }

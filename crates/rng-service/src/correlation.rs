@@ -10,7 +10,7 @@
 //! fraction concentrates within ~`1/√w` of 0.5), so a sustained excursion
 //! beyond [`CorrelationConfig::max_deviation`] is overwhelming evidence of
 //! coupling. After [`CorrelationConfig::trip_windows`] *consecutive*
-//! deviating windows a pair trips, and the validator force-quarantines
+//! deviating windows a pair trips, and the graders force-quarantine
 //! **both** shards — with a common-mode fault there is no telling which
 //! stream is the corrupted one.
 //!

@@ -24,8 +24,8 @@
 //!   ┌────────────────────────────────────────────────────────────┐
 //!   │ placement  — PlacementPolicy (least-loaded + rotation)     │
 //!   │ control    — AdmissionPolicy (DegradedPolicy),             │
-//!   │              RequalifyPolicy, validator loop, quarantine   │
-//!   │              failover, deadline-expiry sweep               │
+//!   │              RequalifyPolicy, per-shard graders,           │
+//!   │              quarantine failover, deadline-expiry sweep    │
 //!   │ health     — ShardHealth EWMA/streak state machine         │
 //!   └──────────────▲─────────────────────────────▲───────────────┘
 //!                  │ one Mutex<State> + condvars │
@@ -95,8 +95,8 @@
 //!   each constructor enforcing its MUST-consume-≥N-fresh-bits clause
 //!   against the completion's ledger-attributed
 //!   [`fresh_bits`](Completion::fresh_bits).
-//! * [`validate`] — the continuous-validation tap and windowing in front of
-//!   the word-parallel NIST SP 800-22 battery.
+//! * [`validate`] — the continuous-validation tap and the per-shard
+//!   windowing in front of the word-parallel NIST SP 800-22 battery.
 //! * [`stats`] / [`export`] — [`ServiceStats`] snapshots, log₂
 //!   [`Histogram`]s, the per-shard [`EntropyLedger`] (raw fresh bits drawn
 //!   vs conditioned bytes served, per backend), rate windows via
@@ -116,10 +116,10 @@
 //! [`DegradedPolicy`] — fail-fast rejection with [`SubmitError::Degraded`],
 //! or parking bounded by the policy (and by the request's own deadline).
 //! [`Ticket::wait_deadline`] bounds the wait itself. With
-//! [`ValidationConfig::enabled`], a validator thread grades served windows
-//! and quarantines shards whose health trips a bound; their queued requests
-//! fail over to healthy shards, and readmission requires a probation streak
-//! (see [`health`]).
+//! [`ValidationConfig::enabled`], each shard's grader thread grades its
+//! served windows and quarantines the shard when its health trips a bound;
+//! its queued requests fail over to healthy shards, and readmission
+//! requires a probation streak (see [`health`]).
 //!
 //! ## Determinism contract
 //!

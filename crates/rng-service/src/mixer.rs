@@ -253,7 +253,6 @@ mod tests {
     use crate::ticket::{ticket_channel, Expired, ExpiryStage, Outcome};
     use proptest::prelude::*;
     use std::collections::HashMap;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::{Condvar, Mutex};
 
     #[test]
@@ -300,7 +299,9 @@ mod tests {
         Arc::new(Shared {
             policies: ServicePolicies::for_config(&cfg),
             cfg,
-            tap_fill: AtomicUsize::new(0),
+            tap_fill: Vec::new(),
+            tap_capacity: 1,
+            correlation: None,
             state: Mutex::new(State {
                 shards: Vec::new(),
                 senders: HashMap::new(),

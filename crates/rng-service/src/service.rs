@@ -5,7 +5,8 @@
 //! data plane (batch loop, pacing, tap, delivery) in `crate::worker` and
 //! [`crate::queue`]; the client-side receipt in [`crate::ticket`].
 
-use crate::control::{expiry_loop, validator_loop, ServicePolicies};
+use crate::control::{expiry_loop, grader_loop, ServicePolicies};
+use crate::correlation::CorrelationMonitor;
 use crate::health::ShardHealth;
 use crate::mixer::{self, MixedTicket};
 use crate::queue::ShardScheduler;
@@ -18,6 +19,7 @@ use crate::worker::worker_loop;
 use quac_trng::pipeline::QuacTrng;
 use quac_trng::{BackendKind, EntropyBackend};
 use std::collections::HashMap;
+use std::sync::atomic::AtomicUsize;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -26,8 +28,9 @@ use std::time::Instant;
 /// A sharded, batching, backpressured random-number service: one worker
 /// thread per [`QuacTrng`] shard (channel), a priority/round-robin scheduler
 /// per shard, least-loaded quarantine-aware placement, a service-wide
-/// in-flight byte budget, and (optionally) a continuous-validation thread
-/// grading served windows with the NIST battery.
+/// in-flight byte budget, and (optionally) continuous validation: one grader
+/// thread per shard grading that shard's served windows with the NIST
+/// battery.
 ///
 /// See the [crate docs](crate) for the architecture and the determinism
 /// contract, [`crate::validate`] for the validation loop, and
@@ -36,7 +39,7 @@ use std::time::Instant;
 pub struct RngService {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    validator: Option<JoinHandle<()>>,
+    graders: Vec<JoinHandle<()>>,
     sweeper: Option<JoinHandle<()>>,
 }
 
@@ -119,7 +122,7 @@ impl RngService {
         );
         if cfg.validation.enabled {
             // Fail here, in the caller's thread — a malformed window would
-            // otherwise panic the validator/worker threads at first use,
+            // otherwise panic the grader/worker threads at first use,
             // silently disabling validation (their join errors are dropped).
             assert!(
                 cfg.validation.window_bits > 0 && cfg.validation.window_bits % 8 == 0,
@@ -132,10 +135,15 @@ impl RngService {
             .iter()
             .map(|backend| backend.class().kind)
             .collect();
+        let vcfg = cfg.validation;
+        let tap_capacity = vcfg.tap_queue_per_shard(shard_count);
         let shared = Arc::new(Shared {
             cfg,
             policies,
-            tap_fill: std::sync::atomic::AtomicUsize::new(0),
+            tap_fill: (0..shard_count).map(|_| AtomicUsize::new(0)).collect(),
+            tap_capacity,
+            correlation: (vcfg.enabled && vcfg.correlation.enabled)
+                .then(|| Mutex::new(CorrelationMonitor::new(shard_count, vcfg.correlation))),
             state: Mutex::new(State {
                 shards: (0..shard_count)
                     .map(|_| ShardScheduler::new(cfg.fairness_window))
@@ -159,23 +167,29 @@ impl RngService {
             space: Condvar::new(),
             deadlines: Condvar::new(),
         });
-        let (tap_tx, validator) = if cfg.validation.enabled {
-            let (tx, rx) = mpsc::sync_channel::<TapChunk>(cfg.validation.tap_queue_batches.max(1));
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name("rng-validator".into())
-                .spawn(move || validator_loop(&shared, &rx, shard_count))
-                .expect("spawning the RNG validator");
-            (Some(tx), Some(handle))
-        } else {
-            (None, None)
-        };
+        // One grader per shard, fed only by that shard's worker: the
+        // worker holds the queue's sole sender, so the grader exits once
+        // its worker has exited and the queue is drained.
+        let (taps, graders): (Vec<_>, Vec<_>) = (0..shard_count)
+            .map(|idx| {
+                if !vcfg.enabled {
+                    return (None, None);
+                }
+                let (tx, rx) = mpsc::sync_channel::<TapChunk>(tap_capacity);
+                let shared = Arc::clone(&shared);
+                let grader = std::thread::Builder::new()
+                    .name(format!("rng-grader-{idx}"))
+                    .spawn(move || grader_loop(&shared, idx, &rx))
+                    .expect("spawning an RNG shard grader");
+                (Some(tx), Some(grader))
+            })
+            .unzip();
         let workers = backends
             .into_iter()
+            .zip(taps)
             .enumerate()
-            .map(|(idx, trng)| {
+            .map(|(idx, (trng, tap))| {
                 let shared = Arc::clone(&shared);
-                let tap = tap_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("rng-shard-{idx}"))
                     .spawn(move || worker_loop(&shared, idx, trng, tap))
@@ -191,12 +205,10 @@ impl RngService {
                     .expect("spawning the RNG expiry sweep"),
             )
         };
-        // `tap_tx` drops here: the validator exits once every worker's
-        // clone is gone (i.e. after the workers join).
         RngService {
             shared,
             workers,
-            validator,
+            graders: graders.into_iter().flatten().collect(),
             sweeper,
         }
     }
@@ -500,6 +512,15 @@ impl RngService {
     }
 
     fn stop(mut self, how: Lifecycle) -> ServiceStats {
+        self.halt(how);
+        self.lock().snapshot()
+    }
+
+    /// Moves the lifecycle to `how` and joins every thread: the workers
+    /// first (each one's tap sender dies with it), then the graders, which
+    /// drain their queues and exit on disconnect, then the expiry sweep,
+    /// which saw the lifecycle change on its condvar.
+    fn halt(&mut self, how: Lifecycle) {
         {
             let mut st = self.lock();
             st.lifecycle = how;
@@ -514,16 +535,12 @@ impl RngService {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // The workers' tap senders are gone; the validator drains the
-        // channel and exits on disconnect. The sweeper saw the lifecycle
-        // change on the deadlines condvar and exited.
-        if let Some(validator) = self.validator.take() {
-            let _ = validator.join();
+        for grader in self.graders.drain(..) {
+            let _ = grader.join();
         }
         if let Some(sweeper) = self.sweeper.take() {
             let _ = sweeper.join();
         }
-        self.lock().snapshot()
     }
 
     fn validate(&self, len: usize) -> Result<(), SubmitError> {
@@ -695,25 +712,8 @@ fn serving_kind_count(kinds: &[BackendKind], health: &[ShardHealth]) -> usize {
 
 impl Drop for RngService {
     fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
-        {
-            let mut st = self.shared.state.lock().expect("service state poisoned");
-            st.lifecycle = Lifecycle::Aborting;
-            st.senders.clear();
-            self.shared.work.notify_all();
-            self.shared.space.notify_all();
-            self.shared.deadlines.notify_all();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(validator) = self.validator.take() {
-            let _ = validator.join();
-        }
-        if let Some(sweeper) = self.sweeper.take() {
-            let _ = sweeper.join();
+        if !self.workers.is_empty() {
+            self.halt(Lifecycle::Aborting);
         }
     }
 }

@@ -10,6 +10,7 @@
 //! replay-determinism tests pin.
 
 use crate::control::{DegradedPolicy, ServicePolicies};
+use crate::correlation::CorrelationMonitor;
 use crate::health::ShardHealth;
 use crate::placement::PlacementPolicy;
 use crate::queue::ShardScheduler;
@@ -18,6 +19,7 @@ use crate::ticket::TicketSender;
 use crate::validate::ValidationConfig;
 use qt_memctrl::IdleBudget;
 use std::collections::HashMap;
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -163,10 +165,17 @@ pub(crate) struct Shared {
     /// The control-plane policy set (placement, degraded admission,
     /// requalification) this instance runs with.
     pub(crate) policies: ServicePolicies,
-    /// Approximate occupancy of the tap queue (incremented by workers on a
-    /// successful send, decremented by the validator on receive). Lets the
-    /// lossy tap skip building a batch copy it would immediately drop.
-    pub(crate) tap_fill: std::sync::atomic::AtomicUsize,
+    /// Approximate occupancy of each shard's tap queue (incremented by the
+    /// worker on a successful send, decremented by the shard's grader on
+    /// receive). Lets the lossy tap skip building a batch copy it would
+    /// immediately drop.
+    pub(crate) tap_fill: Vec<AtomicUsize>,
+    /// Capacity of each shard's tap queue, in batches
+    /// ([`ValidationConfig::tap_queue_per_shard`]).
+    pub(crate) tap_capacity: usize,
+    /// The cross-correlation monitor every grader feeds, when
+    /// [`CorrelationConfig::enabled`](crate::CorrelationConfig::enabled).
+    pub(crate) correlation: Option<Mutex<CorrelationMonitor>>,
     pub(crate) state: Mutex<State>,
     /// Signalled when work arrives or the lifecycle changes (workers wait
     /// here, both for requests and during pacing sleeps), and when a shard

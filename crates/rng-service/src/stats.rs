@@ -124,10 +124,11 @@ impl Histogram {
 /// Counters of the continuous-validation loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ValidationStats {
-    /// Served bytes copied into the validator tap.
+    /// Served bytes copied into the shards' grader queues.
     pub bytes_tapped: u64,
-    /// Served bytes that bypassed validation because the tap queue was full
-    /// (lossy mode only) — the coverage the validator knowingly gave up.
+    /// Served bytes that bypassed validation because their shard's tap
+    /// queue was full or over its coverage budget (lossy mode only) — the
+    /// coverage validation knowingly gave up.
     pub bytes_dropped: u64,
     /// Served windows the battery graded (all shards).
     pub windows_validated: u64,

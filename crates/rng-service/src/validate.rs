@@ -4,15 +4,15 @@
 //! ## How the loop closes
 //!
 //! ```text
-//!  worker (per shard)                        validator thread
-//!  ──────────────────                        ────────────────
-//!  generate batch ──▶ deliver completions    recv (shard, bytes)
-//!        │                                      │ accumulate into that
+//!  worker (shard i)                          grader (shard i)
+//!  ────────────────                          ────────────────
+//!  generate batch ──▶ deliver completions    recv (epoch, bytes)
+//!        │                                      │ accumulate into the
 //!        └── tap: copy batch bytes ───────────▶ │ shard's 50 kb window
-//!            (try_send, bounded queue;          ▼
-//!             never blocks delivery)         window full → word-parallel
-//!                                            battery → pass/fail →
-//!                                            ShardHealth::record_window
+//!            (shard i's own bounded             ▼
+//!             queue; never blocks        window full → serial battery →
+//!             delivery unless lossless)  pass/fail →
+//!                                        ShardHealth::record_window
 //!                                                  │ bound crossed
 //!                                                  ▼
 //!                                            quarantine: shard leaves
@@ -22,6 +22,14 @@
 //!                                            probations, readmits
 //!                                            (see `health`)
 //! ```
+//!
+//! Every shard has one long-lived grader thread next to its worker, so the
+//! shards' windows are graded in parallel while each window's 15 tests run
+//! serially on its grader — no thread is spawned per window, and the
+//! spectral test's FFT plan is built once per process. With correlation
+//! monitoring on, the graders share one
+//! [`CorrelationMonitor`](crate::correlation::CorrelationMonitor) behind a
+//! lock; the check is one cheap step of the same loop, not a second path.
 //!
 //! Quarantine composes with the rest of the degraded-mode machinery like
 //! this (the full state machine is in [`crate::health`]):
@@ -39,24 +47,25 @@
 //!
 //! The tap is a **copy**, so validation never perturbs the served streams —
 //! the bit-identical-reassembly determinism contract holds with validation
-//! on or off. In the default lossy mode the tap queue is bounded and a full
-//! queue skips the batch (counted in
+//! on or off. In the default lossy mode each shard's tap queue is bounded
+//! and a full queue skips the batch (counted in
 //! [`ValidationStats::bytes_dropped`](crate::stats::ValidationStats)):
-//! the word-parallel battery grades ~20 Mb/s per validator thread while a
-//! shard can generate several times that, and sampled coverage that never
-//! stalls delivery is the right trade for a production service. On a
-//! core-constrained host, [`ValidationConfig::target_coverage`] further
-//! budgets the validator's CPU share by byte-quota sampling (grading costs
-//! several times generation per byte). Tests set
-//! [`ValidationConfig::lossless_tap`] instead, which parks the worker —
-//! including that batch's completions, delivered after the tap — until the
-//! validator catches up, making window composition (and therefore every
-//! quarantine decision) a deterministic function of the served streams at
-//! the cost of coupling delivery latency to validation rate.
+//! a grader grades roughly 15–30 Mb/s (one 50 kb window per 1.7–3.5 ms,
+//! depending on the host) while a shard can generate several times that, and sampled coverage that never stalls delivery is
+//! the right trade for a production service. On a core-constrained host,
+//! [`ValidationConfig::target_coverage`] further budgets the graders' CPU
+//! share by byte-quota sampling (grading costs several times generation per
+//! byte). Tests set [`ValidationConfig::lossless_tap`] instead, which parks
+//! the worker — including that batch's completions, delivered after the
+//! tap — until its grader catches up, making window composition (and
+//! therefore every quarantine decision) a deterministic function of the
+//! served streams at the cost of coupling delivery latency to validation
+//! rate.
 //!
-//! Windows are graded per shard in stream order (the tap channel preserves
-//! each worker's send order), so a shard's verdict sequence is exactly what
-//! a serial validator reading its stream would produce.
+//! A shard's windows are graded in stream order by construction: one
+//! worker feeds one FIFO queue drained by one grader, so a shard's verdict
+//! sequence is exactly what a serial [`WindowedBattery`] reading its
+//! stream would produce.
 
 use crate::health::HealthPolicy;
 use qt_nist_sts::{Significance, WindowReport, WindowedBattery};
@@ -66,10 +75,12 @@ use quac_trng::characterize::CharacterizationConfig;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationConfig {
     /// Master switch. Off by default: the service behaves exactly as the
-    /// pre-validation service (no tap copies, no validator thread).
+    /// pre-validation service (no tap copies, no grader threads).
     pub enabled: bool,
     /// Bits per validation window (must be a whole number of bytes).
-    /// Default 50 kb — the battery-bench window, ~2.5 ms to grade.
+    /// Default 50 kb — the battery-bench window, a few milliseconds to grade
+    /// serially on one core (3.5 ms median on a 2-vCPU Xeon KVM guest,
+    /// release build).
     pub window_bits: usize,
     /// Significance level windows are graded at (default: the paper's
     /// α = 0.001).
@@ -77,25 +88,26 @@ pub struct ValidationConfig {
     /// Quarantine/readmission thresholds.
     pub policy: HealthPolicy,
     /// `false` (default): a full tap queue skips the batch and counts the
-    /// bytes as dropped. `true`: the worker parks until the validator
-    /// catches up — full coverage and deterministic window composition, at
+    /// bytes as dropped. `true`: the worker parks until its grader catches
+    /// up — full coverage and deterministic window composition, at
     /// the cost of coupling delivery rate to validation rate.
     pub lossless_tap: bool,
-    /// Capacity of the tap queue, in batches.
+    /// Total capacity of the tap, in batches, split evenly across the
+    /// shards' grader queues (at least one batch per shard).
     pub tap_queue_batches: usize,
     /// Fraction of served bytes the lossy tap aims to grade (clamped to
     /// `[0, 1]`; ignored in lossless mode, which always grades everything).
     /// Default 1.0: tap whatever the queue admits. Grading costs several
     /// times more CPU per byte than generation in this simulation, so a
     /// core-constrained host budgets validation by sampling — e.g. 0.005
-    /// keeps the validator's CPU share in the low single digits while still
+    /// keeps the graders' CPU share in the low single digits while still
     /// grading a window every few MB per shard; a host with spare cores can
     /// leave it at 1.0.
     pub target_coverage: f64,
     /// Characterisation configuration a quarantined shard requalifies with.
     pub recharacterization: CharacterizationConfig,
     /// Cross-correlation monitoring across shards (off by default). When
-    /// enabled, the validator compares same-index windows of different
+    /// enabled, the graders compare same-index windows of different
     /// shards and force-quarantines both members of a pair whose streams
     /// are measurably coupled — the common-mode fault individual-stream
     /// validation cannot see. See [`crate::correlation`].
@@ -133,43 +145,57 @@ impl ValidationConfig {
     pub fn enabled() -> Self {
         ValidationConfig { enabled: true, ..ValidationConfig::default() }
     }
+
+    /// Capacity of each shard's grader queue, in batches:
+    /// [`tap_queue_batches`](Self::tap_queue_batches) split evenly across
+    /// `shards`, at least one each — so total tap buffering stays within
+    /// `max(tap_queue_batches, shards)` batches however many shards run.
+    pub(crate) fn tap_queue_per_shard(&self, shards: usize) -> usize {
+        (self.tap_queue_batches / shards).max(1)
+    }
 }
 
-/// One tapped delivery: a copy of the bytes one shard just served, tagged
+/// One tapped delivery: a copy of the bytes a shard just served, tagged
 /// with the shard's stream epoch at serving time (epochs bump at
 /// readmission, so fenced-era bytes lingering in the tap queue can never
 /// grade a freshly requalified shard).
 #[derive(Debug)]
 pub(crate) struct TapChunk {
-    pub shard: usize,
     pub epoch: u64,
     pub bytes: Vec<u8>,
 }
 
-/// The validator thread's engine: one [`WindowedBattery`] per shard,
-/// windows graded in arrival (= stream) order.
+/// One shard's grading engine, owned by that shard's grader thread: a
+/// serial [`WindowedBattery`] fed in stream order, plus the stream epoch
+/// its pending partial window belongs to.
 #[derive(Debug)]
-pub(crate) struct StreamValidator {
-    batteries: Vec<WindowedBattery>,
+pub(crate) struct ShardGrader {
+    battery: WindowedBattery,
+    epoch: u64,
 }
 
-impl StreamValidator {
-    pub fn new(shards: usize, window_bits: usize) -> Self {
-        StreamValidator {
-            batteries: (0..shards).map(|_| WindowedBattery::new(window_bits)).collect(),
-        }
+impl ShardGrader {
+    pub fn new(window_bits: usize) -> Self {
+        ShardGrader { battery: WindowedBattery::new(window_bits), epoch: 0 }
     }
 
-    /// Accumulates a tapped chunk; calls `on_window` for every window it
-    /// completes, in stream order.
+    /// Accumulates a chunk of the shard's current stream; calls `on_window`
+    /// for every window it completes, in stream order. A chunk from a newer
+    /// epoch than the pending partial window starts a fresh window: the
+    /// stream restarted at readmission, so pre-quarantine bytes must not
+    /// grade it.
     pub fn ingest(&mut self, chunk: &TapChunk, on_window: impl FnMut(WindowReport)) {
-        self.batteries[chunk.shard].push(&chunk.bytes, on_window);
+        if chunk.epoch != self.epoch {
+            self.battery.reset();
+            self.epoch = chunk.epoch;
+        }
+        self.battery.push(&chunk.bytes, on_window);
     }
 
-    /// Discards a shard's partial window (its stream is discontinuous:
+    /// Discards the pending partial window (the stream is discontinuous:
     /// quarantined, about to be recharacterised).
-    pub fn reset_shard(&mut self, shard: usize) {
-        self.batteries[shard].reset();
+    pub fn reset(&mut self) {
+        self.battery.reset();
     }
 }
 
@@ -213,39 +239,51 @@ mod tests {
     }
 
     #[test]
-    fn stream_validator_windows_per_shard_independently() {
-        let mut v = StreamValidator::new(2, 8_000);
+    fn tap_queue_splits_across_shards() {
+        let cfg = ValidationConfig { tap_queue_batches: 64, ..ValidationConfig::default() };
+        assert_eq!(cfg.tap_queue_per_shard(1), 64);
+        assert_eq!(cfg.tap_queue_per_shard(2), 32);
+        assert_eq!(cfg.tap_queue_per_shard(3), 21);
+        // Every shard gets at least one slot, even past the total.
+        assert_eq!(cfg.tap_queue_per_shard(100), 1);
+        let empty = ValidationConfig { tap_queue_batches: 0, ..cfg };
+        assert_eq!(empty.tap_queue_per_shard(2), 1);
+    }
+
+    #[test]
+    fn shard_grader_windows_in_order_and_restarts_on_reset_or_epoch() {
+        let chunk = |epoch, len| TapChunk { epoch, bytes: vec![0xA5; len] };
+        let mut g = ShardGrader::new(8_000);
         let mut windows = Vec::new();
-        // 999 bytes to shard 0: no window yet; 1000 to shard 1: one window.
-        v.ingest(&TapChunk { shard: 0, epoch: 0, bytes: vec![0xA5; 999] }, |w| windows.push((0, w.index)));
+        // 999 bytes: no window yet; one more completes window 0.
+        g.ingest(&chunk(0, 999), |w| windows.push(w.index));
         assert!(windows.is_empty());
-        v.ingest(&TapChunk { shard: 1, epoch: 0, bytes: vec![0xA5; 1000] }, |w| windows.push((1, w.index)));
-        assert_eq!(windows, vec![(1, 0)]);
-        // One more byte completes shard 0's window.
-        v.ingest(&TapChunk { shard: 0, epoch: 0, bytes: vec![0xA5; 1] }, |w| windows.push((0, w.index)));
-        assert_eq!(windows, vec![(1, 0), (0, 0)]);
-        // Reset drops shard 0's partial accumulation.
-        v.ingest(&TapChunk { shard: 0, epoch: 0, bytes: vec![0xA5; 999] }, |_| panic!("no window"));
-        v.reset_shard(0);
-        v.ingest(&TapChunk { shard: 0, epoch: 0, bytes: vec![0xA5; 999] }, |_| panic!("still partial"));
-        let mut later = Vec::new();
-        v.ingest(&TapChunk { shard: 0, epoch: 0, bytes: vec![0xA5; 1] }, |w| later.push(w.index));
-        assert_eq!(later, vec![1], "window indices keep counting across resets");
+        g.ingest(&chunk(0, 1), |w| windows.push(w.index));
+        assert_eq!(windows, vec![0]);
+        // Reset drops the partial accumulation.
+        g.ingest(&chunk(0, 999), |_| panic!("no window"));
+        g.reset();
+        g.ingest(&chunk(0, 999), |_| panic!("still partial"));
+        // A new epoch drops it too: the stream restarted.
+        g.ingest(&chunk(1, 1), |_| panic!("the epoch-0 partial window was kept"));
+        g.ingest(&chunk(1, 998), |_| panic!("still partial"));
+        g.ingest(&chunk(1, 1), |w| windows.push(w.index));
+        assert_eq!(windows, vec![0, 1], "window indices keep counting across resets");
     }
 
     #[test]
     fn constant_windows_fail_random_windows_pass() {
-        let mut v = StreamValidator::new(1, 16_000);
+        let mut g = ShardGrader::new(16_000);
         let mut verdicts = Vec::new();
-        v.ingest(
-            &TapChunk { shard: 0, epoch: 0, bytes: vec![0u8; 2000] },
+        g.ingest(
+            &TapChunk { epoch: 0, bytes: vec![0u8; 2000] },
             |w| verdicts.push(w.passes(Significance::PAPER)),
         );
         // A battery-grade "good" stream from the workspace PRNG.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let good: Vec<u8> = (0..2000).map(|_| (rng.gen::<u64>() & 0xFF) as u8).collect();
-        v.ingest(&TapChunk { shard: 0, epoch: 0, bytes: good }, |w| verdicts.push(w.passes(Significance::PAPER)));
+        g.ingest(&TapChunk { epoch: 0, bytes: good }, |w| verdicts.push(w.passes(Significance::PAPER)));
         assert_eq!(verdicts, vec![false, true]);
     }
 }

@@ -15,7 +15,7 @@ use std::time::Instant;
 /// One shard's worker: dequeue a coalesced batch, generate all its bytes
 /// with a single buffer-reusing [`EntropyBackend::fill_bytes`] call, pace
 /// delivery against the idle-cycle budget, deliver per-request completions,
-/// tap a copy for the validator, release the budget. When the shard is
+/// tap a copy for the shard's grader, release the budget. When the shard is
 /// quarantined and its queue has drained, the worker switches to
 /// requalification: recharacterise, generate probation windows, grade them,
 /// and readmit on a passing streak (see [`crate::control`]).
@@ -194,7 +194,7 @@ pub(crate) fn worker_loop(
             }
         }
 
-        // Phase 4: tap a copy of the served bytes for the validator,
+        // Phase 4: tap a copy of the served bytes for the grader,
         // release the budget, then deliver completions. The budget and
         // per-shard load are released *before* any completion becomes
         // visible: a sequential client that saw its reply and immediately
@@ -206,11 +206,10 @@ pub(crate) fn worker_loop(
         if let Some(tap) = &tap {
             use std::sync::atomic::Ordering;
             if shared.cfg.validation.lossless_tap {
-                // Parks this worker until the validator catches up: full,
+                // Parks this worker until its grader catches up: full,
                 // deterministic coverage for tests (and backpressure stays
                 // charged meanwhile, coupling admission to validation).
                 let chunk = TapChunk {
-                    shard: shard_idx,
                     epoch: batch_epoch,
                     bytes: buf[..batch_bytes].to_vec(),
                 };
@@ -222,8 +221,7 @@ pub(crate) fn worker_loop(
                 tap_served,
                 batch_bytes as u64,
                 shared.cfg.validation.target_coverage,
-            ) || shared.tap_fill.load(Ordering::Relaxed)
-                >= shared.cfg.validation.tap_queue_batches.max(1)
+            ) || shared.tap_fill[shard_idx].load(Ordering::Relaxed) >= shared.tap_capacity
             {
                 // Over the coverage budget, or the queue is (approximately)
                 // full — the expected steady state when generation outpaces
@@ -232,13 +230,12 @@ pub(crate) fn worker_loop(
                 dropped = batch_bytes as u64;
             } else {
                 let chunk = TapChunk {
-                    shard: shard_idx,
                     epoch: batch_epoch,
                     bytes: buf[..batch_bytes].to_vec(),
                 };
                 match tap.try_send(chunk) {
                     Ok(()) => {
-                        shared.tap_fill.fetch_add(1, Ordering::Relaxed);
+                        shared.tap_fill[shard_idx].fetch_add(1, Ordering::Relaxed);
                         tapped = batch_bytes as u64;
                     }
                     Err(_) => dropped = batch_bytes as u64,

@@ -163,9 +163,9 @@ fn main() {
     println!("hardware-model peak per channel (RC+BGP): {hw_peak:.2} Gb/s\n");
 
     // Burst capacity of the *simulation*: 4 clients, 2 shards, no pacing —
-    // with the continuous-validation loop on: a validator thread grades
-    // 50 kb windows of every shard's served bytes off the delivery path and
-    // would quarantine a shard whose health crossed the failure bounds.
+    // with the continuous-validation loop on: each shard's grader thread
+    // grades 50 kb windows of its served bytes off the delivery path and
+    // would quarantine the shard if its health crossed the failure bounds.
     let service_cfg = RngServiceConfig {
         max_inflight_bytes: 1 << 20,
         max_batch_bytes: 64 << 10,

@@ -48,6 +48,13 @@ mesh-tests:
     QUAC_THREADS=1 cargo test -q --test mesh
     QUAC_THREADS=4 cargo test -q --test mesh
 
+# The end-to-end benchmark (the BENCHMARK.json command) on one workload:
+# `just perfbench w=validated` (or bulk / frames). `w=` may be omitted;
+# seconds, seed and trace default to a 35 s untraced run with seed 1.
+perfbench w="validated" seconds="35" seed="1" trace="0":
+    w='{{w}}'; cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "${w#w=}" --seconds {{seconds}} --seed {{seed}} --trace {{trace}}
+
 # The system demo with the Prometheus metrics exposition of the burst run
 # appended — what scraping the service would return.
 metrics-demo:

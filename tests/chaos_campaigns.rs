@@ -236,9 +236,9 @@ fn campaign_burst_fault_fails_over_queued_work_bit_identically() {
     let (model, mut shards) = tiny_shards(SHARDS);
     shards[FAULTY].inject_fault(FaultInjector::burst(64, 48));
     let cfg = RngServiceConfig {
-        // A tap queue of one batch makes the lossless tap a real gate: each
-        // worker serves at most one batch past what the validator has
-        // graded, so the fence deterministically lands while the faulty
+        // A tap queue of one batch per shard makes the lossless tap a real
+        // gate: each worker serves at most one batch past what its grader
+        // has graded, so the fence deterministically lands while the faulty
         // shard still holds queued work. (The default queue of 64 batches
         // exceeds the whole flood — whether the fence caught anything was a
         // CPU-contention race.)

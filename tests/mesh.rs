@@ -10,10 +10,13 @@ use quac_trng_repro::dram_analog::{
 };
 use quac_trng_repro::dram_core::{DataPattern, DramGeometry};
 use quac_trng_repro::rng_service::mixer::mix_reference;
+use quac_trng_repro::nist_sts::WindowedBattery;
 use quac_trng_repro::rng_service::{
-    ClientId, Completion, CorrelationConfig, HealthPolicy, Priority, RngService,
-    RngServiceConfig, ServiceStats, SubmitError, ValidationConfig,
+    ClientId, Completion, CorrelationConfig, HealthPolicy, Priority, RequalifyPolicy,
+    RngService, RngServiceConfig, ServicePolicies, ServiceStats, ShardHealth, ShardState,
+    SubmitError, ValidationConfig,
 };
+use quac_trng_repro::trng::fault::FaultInjector;
 use quac_trng_repro::trng::characterize::{characterize_module, CharacterizationConfig};
 use quac_trng_repro::trng::pipeline::{shard_seed, QuacTrng};
 use quac_trng_repro::trng::{BackendKind, EntropyBackend};
@@ -270,4 +273,125 @@ fn independent_backends_never_trip_the_correlation_check() {
     assert!(stats.validation.correlation_windows >= 1, "windows must have been compared");
     assert_eq!(stats.validation.correlation_trips, 0, "independent streams must not trip");
     assert_eq!(stats.validation.quarantines, 0);
+}
+
+/// Requalification that waits a minute between rounds: a persistently
+/// faulty shard makes one attempt and then rests, so the verdict-order test
+/// below is not competing with an endless recharacterisation loop.
+#[derive(Debug)]
+struct RestAfterOneAttempt;
+
+impl RequalifyPolicy for RestAfterOneAttempt {
+    fn needs_recharacterization(&self, state: ShardState) -> bool {
+        state != ShardState::Probation
+    }
+
+    fn retry_backoff(&self) -> Duration {
+        Duration::from_secs(60)
+    }
+}
+
+/// What a serial validator reading `stream` from the start would record:
+/// one [`WindowedBattery`] fed the whole stream, its verdicts folded into a
+/// fresh [`ShardHealth`] until the first quarantine (later windows of a
+/// fenced shard are stale and never fold).
+fn serial_health(stream: &[u8], validation: &ValidationConfig) -> (ShardHealth, Vec<bool>) {
+    let mut battery = WindowedBattery::new(validation.window_bits);
+    let mut health = ShardHealth::new();
+    let mut verdicts = Vec::new();
+    battery.push(stream, |report| {
+        if health.is_serving() {
+            let pass = report.passes(validation.alpha);
+            verdicts.push(pass);
+            health.record_window(pass, &validation.policy);
+        }
+    });
+    (health, verdicts)
+}
+
+#[test]
+fn per_shard_verdicts_match_serial_batteries_over_the_served_streams() {
+    const FAULTY: usize = 0;
+    const REQUESTS: usize = 48;
+    let model = quac_model();
+    let ch = characterize_module(&model, DataPattern::best_average(), &characterization());
+    let quac = |seed_idx: usize, fault: Option<FaultInjector>| {
+        let mut trng =
+            QuacTrng::with_characterization(model.clone(), ch.clone(), shard_seed(BASE_SEED, seed_idx));
+        if let Some(fault) = fault {
+            trng.inject_fault(fault);
+        }
+        trng
+    };
+    // A mild persistent bias: some windows of the faulty stream pass and
+    // some fail, so the verdict sequence (and the order-sensitive EWMA it
+    // folds into) pins the grading order, not just the window count.
+    let fault = FaultInjector::bias(0.5135, 3);
+    let validation = ValidationConfig {
+        enabled: true,
+        window_bits: 16_000,
+        lossless_tap: true,
+        tap_queue_batches: 3,
+        policy: HealthPolicy {
+            ewma_alpha: 0.3,
+            min_pass_ewma: 0.45,
+            max_consecutive_failures: 3,
+            probation_windows: 2,
+        },
+        recharacterization: characterization(),
+        ..ValidationConfig::default()
+    };
+    let cfg = RngServiceConfig { validation, ..RngServiceConfig::default() };
+    let backends: Vec<Box<dyn EntropyBackend>> = vec![
+        Box::new(quac(FAULTY, Some(fault))),
+        Box::new(quac(1, None)),
+        Box::new(drange_backend()),
+    ];
+    let policies = ServicePolicies {
+        requalify: Box::new(RestAfterOneAttempt),
+        ..ServicePolicies::for_mesh(&cfg)
+    };
+    let service = RngService::start_mesh_with_policies(backends, cfg, policies);
+    // One request outstanding at a time: bulk work alternates between the
+    // two QUAC shards (the healthy one alone once the faulty one is
+    // fenced), latency-sensitive work goes to D-RaNGe.
+    let mut completions = Vec::new();
+    for i in 0..REQUESTS {
+        let priority = if i % 3 == 2 { Priority::High } else { Priority::Normal };
+        let t = service.submit(ClientId(0), priority, 1500).unwrap();
+        completions.push(t.wait().expect("served"));
+    }
+    // The drain grades every tapped byte before the graders are joined.
+    let stats = service.shutdown();
+    assert_eq!(stats.validation.bytes_tapped, stats.completed_bytes);
+
+    let mut windows = 0;
+    for shard in 0..3 {
+        let served = reassemble_shard(&completions, shard);
+        assert!(!served.is_empty(), "shard {shard} served nothing");
+        let reference = match shard {
+            FAULTY => quac(FAULTY, Some(fault)).generate_bytes(served.len()),
+            1 => quac(1, None).generate_bytes(served.len()),
+            _ => drange_backend().generate_bytes(served.len()),
+        };
+        assert_eq!(served, reference, "shard {shard} diverged from its serial reference");
+        let (expected, verdicts) = serial_health(&served, &cfg.validation);
+        if shard == FAULTY {
+            // The faulty stream mixes passing and failing windows before
+            // its EWMA trips, so only in-order grading reproduces it.
+            assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
+            assert_eq!(expected.quarantines, 1, "{verdicts:?}");
+        } else {
+            assert!(verdicts.iter().all(|&pass| pass), "shard {shard}: {verdicts:?}");
+        }
+        let got = &stats.shard_health[shard];
+        assert_eq!(got.windows_validated, expected.windows_validated, "shard {shard}");
+        assert_eq!(got.windows_failed, expected.windows_failed, "shard {shard}");
+        assert_eq!(got.quarantines, expected.quarantines, "shard {shard}");
+        assert_eq!(got.consecutive_failures, expected.consecutive_failures, "shard {shard}");
+        assert_eq!(got.pass_ewma.to_bits(), expected.pass_ewma.to_bits(), "shard {shard}");
+        windows += expected.windows_validated;
+    }
+    assert_eq!(stats.validation.windows_validated, windows);
+    assert_eq!(stats.validation.quarantines, 1);
 }

@@ -13,7 +13,7 @@ use quac_trng_repro::dram_core::{DataPattern, DramGeometry};
 use quac_trng_repro::memctrl::IdleBudget;
 use quac_trng_repro::rng_service::{
     ClientId, Completion, DegradedPolicy, HealthPolicy, Priority, RngService, RngServiceConfig,
-    ServiceStats, ShardState, SubmitError, ValidationConfig, WaitError,
+    ServiceStats, ShardState, SubmitError, Ticket, ValidationConfig, WaitError,
 };
 use quac_trng_repro::trng::characterize::{characterize_module, CharacterizationConfig};
 use quac_trng_repro::trng::fault::FaultInjector;
@@ -635,6 +635,83 @@ fn abort_during_quarantine_terminates_cleanly() {
         started.elapsed()
     );
     assert!(stats.validation.quarantines >= 1);
+}
+
+const FLOOD: usize = 90;
+const FLOOD_WINDOW_BYTES: u64 = 6250;
+
+/// A lossless three-shard service flooded with more work than its graders
+/// keep up with. Grading costs far more per byte than generating, and each
+/// shard's tap queue holds one batch, so the workers spend the flood parked
+/// on their taps. 999-byte requests never fill a 6250-byte window exactly
+/// (the two are coprime), so every shard that served anything holds a
+/// partial window. The policy never fences: these tests are about the
+/// lifecycle, not verdicts.
+fn flooded_lossless_service() -> (RngService, Vec<Ticket>) {
+    let (_, shards) = tiny_shards(3);
+    let validation = ValidationConfig {
+        window_bits: FLOOD_WINDOW_BYTES as usize * 8,
+        tap_queue_batches: 1,
+        policy: HealthPolicy {
+            min_pass_ewma: 0.0,
+            max_consecutive_failures: u32::MAX,
+            ..HealthPolicy::default()
+        },
+        ..test_validation()
+    };
+    let cfg = RngServiceConfig { validation, max_batch_requests: 4, ..RngServiceConfig::default() };
+    let service = RngService::start(shards, cfg);
+    let tickets = (0..FLOOD)
+        .map(|i| service.submit(ClientId(i as u32 % 3), Priority::Normal, 999).unwrap())
+        .collect();
+    wait_for(&service, Duration::from_secs(60), "first completions", |s| {
+        s.completed_requests >= 3
+    });
+    assert!(service.in_flight_bytes() > 0, "the flood must still be queued");
+    (service, tickets)
+}
+
+#[test]
+fn shutdown_with_parked_lossless_workers_grades_everything_and_joins() {
+    let (service, tickets) = flooded_lossless_service();
+    let started = Instant::now();
+    let stats = service.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(60), "drain took {:?}", started.elapsed());
+    // The drain served every accepted request...
+    for t in tickets {
+        assert_eq!(t.wait().expect("drained").bytes.len(), 999);
+    }
+    assert_eq!(stats.completed_requests, FLOOD as u64);
+    assert_eq!(stats.validation.bytes_tapped, stats.completed_bytes);
+    // ...and every grader graded every full window of its shard before it
+    // was joined; what is left of each stream is a partial window.
+    assert!(stats.per_shard_bytes.iter().all(|&b| b > 0 && b % FLOOD_WINDOW_BYTES != 0));
+    let full: u64 = stats.per_shard_bytes.iter().map(|b| b / FLOOD_WINDOW_BYTES).sum();
+    assert_eq!(stats.validation.windows_validated, full);
+    assert_eq!(stats.validation.quarantines, 0);
+}
+
+#[test]
+fn abort_and_drop_with_parked_lossless_workers_return_promptly() {
+    let (service, tickets) = flooded_lossless_service();
+    let started = Instant::now();
+    let stats = service.abort();
+    assert!(started.elapsed() < Duration::from_secs(30), "abort took {:?}", started.elapsed());
+    // Every ticket resolves — served (its batch was already generated) or
+    // canceled — and no grader grades past what was served.
+    let served = tickets.into_iter().filter_map(|t| t.wait().ok()).count();
+    assert_eq!(served as u64, stats.completed_requests);
+    let full: u64 = stats.per_shard_bytes.iter().map(|b| b / FLOOD_WINDOW_BYTES).sum();
+    assert!(stats.validation.windows_validated <= full);
+
+    // Dropping a running service takes the same path.
+    let (service, tickets) = flooded_lossless_service();
+    let started = Instant::now();
+    drop(service);
+    assert!(started.elapsed() < Duration::from_secs(30), "drop took {:?}", started.elapsed());
+    for t in tickets {
+        let _ = t.wait();
+    }
 }
 
 #[test]
