@@ -406,83 +406,6 @@ fn bench_rng_service_drift(c: &mut Criterion) {
     }
 }
 
-fn bench_rng_service_mesh(c: &mut Criterion) {
-    // Entropy-mesh acceptance pair: the same 4-client × 16 KiB round trip
-    // with mixed priorities, once through the stock least-loaded service and
-    // once through the mesh policy stack (tiered placement over backend
-    // kinds, cross-tier quarantine failover armed). Both sides serve from
-    // the same two QUAC shards so the pair isolates the control-plane cost
-    // of the mesh — the per-admission tier scan plus backend-kind
-    // bookkeeping — from backend speed differences, which
-    // `tests/mesh.rs` covers functionally. The pair is gated in
-    // `bench_check`: failover-on must stay within 15% of failover-off.
-    use qt_rng_service::{ClientId, Priority, RngService, RngServiceConfig};
-    use quac_trng::EntropyBackend;
-    const CLIENTS: u32 = 4;
-    const SHARDS: usize = 2;
-    const BYTES_PER_CLIENT: usize = 16 << 10;
-    let geom = DramGeometry::tiny_test();
-    let model = QuacAnalogModel::new(geom, ModuleVariation::generate(&geom, 3));
-    let ch = quac_trng::characterize::characterize_module(
-        &model,
-        DataPattern::best_average(),
-        &tiny_cfg(),
-    );
-    let total_bits = (CLIENTS as u64) * (BYTES_PER_CLIENT as u64) * 8;
-    for (name, mesh) in [
-        ("rng_service_mesh_failover_off", false),
-        ("rng_service_mesh_failover_on", true),
-    ] {
-        let shards = QuacTrng::shards(&model, &ch, 17, SHARDS);
-        let service = if mesh {
-            RngService::start_mesh(
-                shards
-                    .into_iter()
-                    .map(|s| Box::new(s) as Box<dyn EntropyBackend>)
-                    .collect(),
-                RngServiceConfig::default(),
-            )
-        } else {
-            RngService::start(shards, RngServiceConfig::default())
-        };
-        // Warm both variants into placement steady state before measuring.
-        for _ in 0..32 {
-            let tickets: Vec<_> = (0..CLIENTS)
-                .map(|client| {
-                    service
-                        .submit(ClientId(client), Priority::Normal, BYTES_PER_CLIENT)
-                        .expect("warmup submission")
-                })
-                .collect();
-            for t in tickets {
-                std::hint::black_box(t.wait().expect("warmup completion"));
-            }
-        }
-        c.throughput_bits(total_bits).bench_function(name, |b| {
-            b.iter(|| {
-                let tickets: Vec<_> = (0..CLIENTS)
-                    .map(|client| {
-                        // Half the clients latency-sensitive: the mesh side
-                        // walks the High tier order on every admission.
-                        let priority = if client % 2 == 0 {
-                            Priority::High
-                        } else {
-                            Priority::Normal
-                        };
-                        service
-                            .submit(ClientId(client), priority, BYTES_PER_CLIENT)
-                            .expect("bench submission")
-                    })
-                    .collect();
-                for t in tickets {
-                    std::hint::black_box(t.wait().expect("bench completion"));
-                }
-            })
-        });
-        service.shutdown();
-    }
-}
-
 fn bench_nist_suite(c: &mut Criterion) {
     use qt_nist_sts::tests15::{
         approximate_entropy, linear_complexity, non_overlapping_template_matching,
@@ -663,8 +586,8 @@ criterion_group! {
     targets = bench_sha256, bench_vnc, bench_packed_sampling, bench_bitvec_extract,
               bench_quac_iteration, bench_generate_bytes, bench_rng_service,
               bench_rng_service_validation, bench_rng_service_drift,
-              bench_rng_service_mesh, bench_rng_service_export,
-              bench_rng_service_facade, bench_segment_entropy,
+              bench_rng_service_export, bench_rng_service_facade,
+              bench_segment_entropy,
               bench_characterisation, bench_nist_suite, bench_memory_system
 }
 criterion_main!(benches);

@@ -90,74 +90,65 @@ fn gbps_floor_verdict(
     Some((fresh, floor, fresh < floor))
 }
 
-/// The continuous-validation overhead gate: the on/off pair of the RNG
-/// service bench, measured in the *same* fresh run (same machine, same
-/// build), must stay within `overhead` of each other — the acceptance bound
-/// of the validation tap ("validation-on overhead < 10%"). Returns
-/// `Some((on_over_off_ratio, regressed?))` when both entries are present,
-/// `None` otherwise. Pure so the rule is unit-testable.
-fn validation_overhead(fresh: &[(String, f64)], overhead: f64) -> Option<(f64, bool)> {
-    let ns = |name: &str| fresh.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-    let on = ns("rng_service_continuous_validation_on")?;
-    let off = ns("rng_service_continuous_validation_off")?;
-    let ratio = on / off;
-    Some((ratio, ratio > 1.0 + overhead))
+/// A paired overhead gate: two benches measured in the *same* fresh run
+/// (same machine, same build), whose ns ratio must stay within a budget.
+struct PairedGate {
+    /// The bench that pays the overhead.
+    on: &'static str,
+    /// The bench it is measured against.
+    off: &'static str,
+    /// Environment variable overriding the budget (a fraction, e.g. `0.10`).
+    env: &'static str,
+    /// Default budget: `on / off` may exceed 1 by at most this fraction.
+    budget: f64,
+    /// Row label in the report.
+    label: &'static str,
 }
 
-/// The environmental-drift overhead gate: the drift-off/under-drift pair of
-/// the RNG service bench, measured in the *same* fresh run, must stay within
-/// `overhead` of each other — the degraded-mode acceptance bound ("serving
-/// through an active drift pulse costs < 15%"). Returns
-/// `Some((drift_over_off_ratio, regressed?))` when both entries are present,
-/// `None` otherwise. Pure so the rule is unit-testable.
-fn drift_overhead(fresh: &[(String, f64)], overhead: f64) -> Option<(f64, bool)> {
-    let ns = |name: &str| fresh.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-    let under = ns("rng_service_under_drift")?;
-    let off = ns("rng_service_drift_off")?;
-    let ratio = under / off;
-    Some((ratio, ratio > 1.0 + overhead))
-}
+/// Every paired gate, with the acceptance bound each one holds.
+const PAIRED_GATES: [PairedGate; 4] = [
+    // The continuous-validation tap: "validation-on overhead < 10%".
+    PairedGate {
+        on: "rng_service_continuous_validation_on",
+        off: "rng_service_continuous_validation_off",
+        env: "BENCH_VALIDATION_OVERHEAD",
+        budget: 0.10,
+        label: "validation-on / validation-off:",
+    },
+    // Degraded mode: "serving through an active drift pulse costs < 15%".
+    PairedGate {
+        on: "rng_service_under_drift",
+        off: "rng_service_drift_off",
+        env: "BENCH_DRIFT_OVERHEAD",
+        budget: 0.15,
+        label: "under-drift / drift-off:",
+    },
+    // Stats export: "a Prometheus render per round trip costs < 5%".
+    PairedGate {
+        on: "rng_service_export_on",
+        off: "rng_service_export_off",
+        env: "BENCH_EXPORT_OVERHEAD",
+        budget: 0.05,
+        label: "export-on / export-off:",
+    },
+    // The front door: "redeeming a ticket through `block_on(AsyncTicket)`
+    // costs < 10% over `Ticket::wait`".
+    PairedGate {
+        on: "rng_service_async_facade",
+        off: "rng_service_async_blocking",
+        env: "BENCH_FACADE_OVERHEAD",
+        budget: 0.10,
+        label: "async-facade / blocking-wait:",
+    },
+];
 
-/// The entropy-mesh overhead gate: the mesh-failover-on/off pair of the RNG
-/// service bench, measured in the *same* fresh run, must stay within
-/// `overhead` of each other — the mesh acceptance bound ("tiered placement
-/// and cross-tier failover machinery cost < 15% at steady state"). Returns
-/// `Some((on_over_off_ratio, regressed?))` when both entries are present,
-/// `None` otherwise. Pure so the rule is unit-testable.
-fn mesh_overhead(fresh: &[(String, f64)], overhead: f64) -> Option<(f64, bool)> {
+/// One paired gate's verdict: `Some((on_over_off_ratio, over_budget?))`
+/// when both benches are in the fresh run, `None` otherwise (e.g. a
+/// filtered run). Pure so the rule is unit-testable.
+fn paired_overhead(fresh: &[(String, f64)], gate: &PairedGate, budget: f64) -> Option<(f64, bool)> {
     let ns = |name: &str| fresh.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-    let on = ns("rng_service_mesh_failover_on")?;
-    let off = ns("rng_service_mesh_failover_off")?;
-    let ratio = on / off;
-    Some((ratio, ratio > 1.0 + overhead))
-}
-
-/// The metrics-export overhead gate: the export-on/off pair of the RNG
-/// service bench, measured in the *same* fresh run, must stay within
-/// `overhead` of each other — the acceptance bound of the stats export ("a
-/// Prometheus render per round trip costs < 5%"). Returns
-/// `Some((on_over_off_ratio, regressed?))` when both entries are present,
-/// `None` otherwise. Pure so the rule is unit-testable.
-fn export_overhead(fresh: &[(String, f64)], overhead: f64) -> Option<(f64, bool)> {
-    let ns = |name: &str| fresh.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-    let on = ns("rng_service_export_on")?;
-    let off = ns("rng_service_export_off")?;
-    let ratio = on / off;
-    Some((ratio, ratio > 1.0 + overhead))
-}
-
-/// The async-facade overhead gate: the facade/blocking pair of the RNG
-/// service bench, measured in the *same* fresh run, must stay within
-/// `overhead` of each other — the front-door acceptance bound ("redeeming a
-/// ticket through `block_on(AsyncTicket)` costs < 10% over `Ticket::wait`").
-/// Returns `Some((facade_over_blocking_ratio, regressed?))` when both
-/// entries are present, `None` otherwise. Pure so the rule is unit-testable.
-fn facade_overhead(fresh: &[(String, f64)], overhead: f64) -> Option<(f64, bool)> {
-    let ns = |name: &str| fresh.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-    let facade = ns("rng_service_async_facade")?;
-    let blocking = ns("rng_service_async_blocking")?;
-    let ratio = facade / blocking;
-    Some((ratio, ratio > 1.0 + overhead))
+    let ratio = ns(gate.on)? / ns(gate.off)?;
+    Some((ratio, ratio > 1.0 + budget))
 }
 
 /// Per-benchmark verdicts: `(name, fresh/baseline ratio normalised by the
@@ -247,78 +238,21 @@ fn main() -> ExitCode {
         println!("{name:<42}{ratio:>18.3}{flag}");
         failed |= regressed;
     }
-    // Paired bound, fresh-run only (same machine on both sides): the
-    // continuous-validation tap must stay within its overhead budget.
-    let overhead_budget = std::env::var("BENCH_VALIDATION_OVERHEAD")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.10);
-    if let Some((ratio, over)) = validation_overhead(&fresh, overhead_budget) {
-        let flag = if over { "  <-- OVER BUDGET" } else { "" };
-        println!(
-            "validation-on / validation-off:          {ratio:>18.3}{flag} (budget {:.0}%)",
-            overhead_budget * 100.0
-        );
-        failed |= over;
-    }
-    // Paired bound, fresh-run only: serving through an active drift pulse
-    // (one shard's bytes paying the full fault-injection mask cost) must
-    // stay within its overhead budget.
-    let drift_budget = std::env::var("BENCH_DRIFT_OVERHEAD")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.15);
-    if let Some((ratio, over)) = drift_overhead(&fresh, drift_budget) {
-        let flag = if over { "  <-- OVER BUDGET" } else { "" };
-        println!(
-            "under-drift / drift-off:                 {ratio:>18.3}{flag} (budget {:.0}%)",
-            drift_budget * 100.0
-        );
-        failed |= over;
-    }
-    // Paired bound, fresh-run only: routing the same workload through the
-    // entropy mesh (tiered placement, cross-tier failover armed) must stay
-    // within its overhead budget.
-    let mesh_budget = std::env::var("BENCH_MESH_OVERHEAD")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.15);
-    if let Some((ratio, over)) = mesh_overhead(&fresh, mesh_budget) {
-        let flag = if over { "  <-- OVER BUDGET" } else { "" };
-        println!(
-            "mesh-failover-on / failover-off:         {ratio:>18.3}{flag} (budget {:.0}%)",
-            mesh_budget * 100.0
-        );
-        failed |= over;
-    }
-    // Paired bound, fresh-run only: a stats snapshot + Prometheus text
-    // render per client round trip must stay within its overhead budget.
-    let export_budget = std::env::var("BENCH_EXPORT_OVERHEAD")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.05);
-    if let Some((ratio, over)) = export_overhead(&fresh, export_budget) {
-        let flag = if over { "  <-- OVER BUDGET" } else { "" };
-        println!(
-            "export-on / export-off:                  {ratio:>18.3}{flag} (budget {:.0}%)",
-            export_budget * 100.0
-        );
-        failed |= over;
-    }
-    // Paired bound, fresh-run only: redeeming every ticket through the
-    // async front door (waker registration + delivery-side wake + one
-    // park/unpark) must stay within its overhead budget.
-    let facade_budget = std::env::var("BENCH_FACADE_OVERHEAD")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.10);
-    if let Some((ratio, over)) = facade_overhead(&fresh, facade_budget) {
-        let flag = if over { "  <-- OVER BUDGET" } else { "" };
-        println!(
-            "async-facade / blocking-wait:            {ratio:>18.3}{flag} (budget {:.0}%)",
-            facade_budget * 100.0
-        );
-        failed |= over;
+    // Paired bounds, fresh-run only (same machine on both sides).
+    for gate in &PAIRED_GATES {
+        let budget = std::env::var(gate.env)
+            .ok()
+            .and_then(|v| v.parse::<f64>().ok())
+            .unwrap_or(gate.budget);
+        if let Some((ratio, over)) = paired_overhead(&fresh, gate, budget) {
+            let flag = if over { "  <-- OVER BUDGET" } else { "" };
+            println!(
+                "{:<41}{ratio:>18.3}{flag} (budget {:.0}%)",
+                gate.label,
+                budget * 100.0
+            );
+            failed |= over;
+        }
     }
     // Absolute generation-throughput floor, fresh-run only: sustained Gb/s
     // must not fall below 75% of the committed baseline (or the explicit
@@ -424,13 +358,20 @@ mod tests {
         );
     }
 
+    /// The paired gate whose overhead-paying bench is `on`.
+    fn gate(on: &str) -> &'static PairedGate {
+        PAIRED_GATES.iter().find(|g| g.on == on).expect("a gate row")
+    }
+
     #[test]
     fn validation_overhead_gate_pairs_the_on_off_benches() {
+        let g = gate("rng_service_continuous_validation_on");
+        assert_eq!(g.off, "rng_service_continuous_validation_off");
         let fresh = results(&[
             ("rng_service_continuous_validation_off", 1000.0),
             ("rng_service_continuous_validation_on", 1050.0),
         ]);
-        let (ratio, over) = validation_overhead(&fresh, 0.10).unwrap();
+        let (ratio, over) = paired_overhead(&fresh, g, 0.10).unwrap();
         assert!((ratio - 1.05).abs() < 1e-12);
         assert!(!over, "5% overhead is within the 10% budget");
         let fresh = results(&[
@@ -438,20 +379,22 @@ mod tests {
             ("rng_service_continuous_validation_on", 1200.0),
         ]);
         assert!(
-            validation_overhead(&fresh, 0.10).unwrap().1,
+            paired_overhead(&fresh, g, 0.10).unwrap().1,
             "20% overhead must fail"
         );
-        // Missing either side: no verdict (e.g. a filtered `-- nist` run).
-        assert!(validation_overhead(&results(&[("a", 1.0)]), 0.10).is_none());
+        // Missing either side (e.g. a filtered `-- nist` run): no verdict.
+        assert!(paired_overhead(&results(&[("a", 1.0)]), g, 0.10).is_none());
     }
 
     #[test]
     fn export_overhead_gate_pairs_the_on_off_benches() {
+        let g = gate("rng_service_export_on");
+        assert_eq!(g.off, "rng_service_export_off");
         let fresh = results(&[
             ("rng_service_export_off", 1000.0),
             ("rng_service_export_on", 1030.0),
         ]);
-        let (ratio, over) = export_overhead(&fresh, 0.05).unwrap();
+        let (ratio, over) = paired_overhead(&fresh, g, 0.05).unwrap();
         assert!((ratio - 1.03).abs() < 1e-12);
         assert!(!over, "3% overhead is within the 5% budget");
         let fresh = results(&[
@@ -459,20 +402,22 @@ mod tests {
             ("rng_service_export_on", 1100.0),
         ]);
         assert!(
-            export_overhead(&fresh, 0.05).unwrap().1,
+            paired_overhead(&fresh, g, 0.05).unwrap().1,
             "10% overhead must fail"
         );
         // Missing either side (e.g. a filtered run): no verdict.
-        assert!(export_overhead(&results(&[("a", 1.0)]), 0.05).is_none());
+        assert!(paired_overhead(&results(&[("a", 1.0)]), g, 0.05).is_none());
     }
 
     #[test]
     fn facade_overhead_gate_pairs_the_async_blocking_benches() {
+        let g = gate("rng_service_async_facade");
+        assert_eq!(g.off, "rng_service_async_blocking");
         let fresh = results(&[
             ("rng_service_async_blocking", 1000.0),
             ("rng_service_async_facade", 1060.0),
         ]);
-        let (ratio, over) = facade_overhead(&fresh, 0.10).unwrap();
+        let (ratio, over) = paired_overhead(&fresh, g, 0.10).unwrap();
         assert!((ratio - 1.06).abs() < 1e-12);
         assert!(!over, "6% overhead is within the 10% budget");
         let fresh = results(&[
@@ -480,41 +425,22 @@ mod tests {
             ("rng_service_async_facade", 1150.0),
         ]);
         assert!(
-            facade_overhead(&fresh, 0.10).unwrap().1,
+            paired_overhead(&fresh, g, 0.10).unwrap().1,
             "15% overhead must fail"
         );
         // Missing either side (e.g. a filtered run): no verdict.
-        assert!(facade_overhead(&results(&[("a", 1.0)]), 0.10).is_none());
-    }
-
-    #[test]
-    fn mesh_overhead_gate_pairs_the_on_off_benches() {
-        let fresh = results(&[
-            ("rng_service_mesh_failover_off", 1000.0),
-            ("rng_service_mesh_failover_on", 1080.0),
-        ]);
-        let (ratio, over) = mesh_overhead(&fresh, 0.15).unwrap();
-        assert!((ratio - 1.08).abs() < 1e-12);
-        assert!(!over, "8% overhead is within the 15% budget");
-        let fresh = results(&[
-            ("rng_service_mesh_failover_off", 1000.0),
-            ("rng_service_mesh_failover_on", 1250.0),
-        ]);
-        assert!(
-            mesh_overhead(&fresh, 0.15).unwrap().1,
-            "25% overhead must fail"
-        );
-        // Missing either side (e.g. a filtered run): no verdict.
-        assert!(mesh_overhead(&results(&[("a", 1.0)]), 0.15).is_none());
+        assert!(paired_overhead(&results(&[("a", 1.0)]), g, 0.10).is_none());
     }
 
     #[test]
     fn drift_overhead_gate_pairs_the_off_under_benches() {
+        let g = gate("rng_service_under_drift");
+        assert_eq!(g.off, "rng_service_drift_off");
         let fresh = results(&[
             ("rng_service_drift_off", 1000.0),
             ("rng_service_under_drift", 1100.0),
         ]);
-        let (ratio, over) = drift_overhead(&fresh, 0.15).unwrap();
+        let (ratio, over) = paired_overhead(&fresh, g, 0.15).unwrap();
         assert!((ratio - 1.10).abs() < 1e-12);
         assert!(!over, "10% overhead is within the 15% budget");
         let fresh = results(&[
@@ -522,11 +448,44 @@ mod tests {
             ("rng_service_under_drift", 1300.0),
         ]);
         assert!(
-            drift_overhead(&fresh, 0.15).unwrap().1,
+            paired_overhead(&fresh, g, 0.15).unwrap().1,
             "30% overhead must fail"
         );
         // Missing either side (e.g. a filtered run): no verdict.
-        assert!(drift_overhead(&results(&[("a", 1.0)]), 0.15).is_none());
+        assert!(paired_overhead(&results(&[("a", 1.0)]), g, 0.15).is_none());
+    }
+
+    #[test]
+    fn every_paired_gate_holds_its_budget_and_needs_both_benches() {
+        for gate in &PAIRED_GATES {
+            // Just inside the default budget passes, just over it fails.
+            for (scale, over) in [(0.9, false), (1.1, true)] {
+                let fresh = results(&[
+                    (gate.off, 1000.0),
+                    (gate.on, 1000.0 * (1.0 + gate.budget * scale)),
+                ]);
+                let (ratio, flagged) = paired_overhead(&fresh, gate, gate.budget).unwrap();
+                assert!(
+                    (ratio - (1.0 + gate.budget * scale)).abs() < 1e-12,
+                    "{}",
+                    gate.label
+                );
+                assert_eq!(flagged, over, "{} at {scale} of its budget", gate.label);
+            }
+            // Missing either side (e.g. a filtered run): no verdict.
+            assert!(paired_overhead(&results(&[(gate.on, 1.0)]), gate, gate.budget).is_none());
+            assert!(paired_overhead(&results(&[(gate.off, 1.0)]), gate, gate.budget).is_none());
+        }
+        let envs: Vec<_> = PAIRED_GATES.iter().map(|g| (g.env, g.budget)).collect();
+        assert_eq!(
+            envs,
+            [
+                ("BENCH_VALIDATION_OVERHEAD", 0.10),
+                ("BENCH_DRIFT_OVERHEAD", 0.15),
+                ("BENCH_EXPORT_OVERHEAD", 0.05),
+                ("BENCH_FACADE_OVERHEAD", 0.10),
+            ]
+        );
     }
 
     #[test]

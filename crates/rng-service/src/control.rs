@@ -13,7 +13,7 @@
 
 use crate::correlation::CorrelationMonitor;
 use crate::health::{ShardHealth, ShardState};
-use crate::placement::{LeastLoaded, PlacementPolicy, TieredPlacement};
+use crate::placement::{PlacementPolicy, TieredPlacement};
 use crate::request::{ClientId, RngRequest};
 use crate::state::{Lifecycle, RngServiceConfig, Shared, State};
 use crate::ticket::{Expired, ExpiryStage, Outcome};
@@ -105,7 +105,11 @@ impl RequalifyPolicy for RecharacterizeOnQuarantine {
 /// QoS policy decides what gets admitted at all, so one greedy tenant cannot
 /// monopolise the in-flight budget before scheduling even starts.
 ///
-/// A rejection is a typed policy outcome
+/// The service consults it once per submission, after every other
+/// admission check (lifecycle, serving shards, deadline, in-flight budget)
+/// has passed, so a refused or expired submission never spends tokens and a
+/// blocking call may park on the budget before it is charged. A rejection
+/// is a typed policy outcome
 /// ([`SubmitError::RateLimited`](crate::SubmitError::RateLimited)), not
 /// backpressure: blocking submission does not park on it.
 pub trait QosPolicy: std::fmt::Debug + Send + Sync {
@@ -202,8 +206,10 @@ impl QosPolicy for TokenBucketQos {
 
 /// The control-plane policy set one service instance runs with, injected at
 /// [`RngService::start_with_policies`](crate::RngService::start_with_policies).
-/// [`RngService::start`](crate::RngService::start) uses
-/// [`ServicePolicies::for_config`].
+/// [`RngService::start`](crate::RngService::start) and
+/// [`RngService::start_mesh`](crate::RngService::start_mesh) use
+/// [`ServicePolicies::for_config`]; override single fields with struct
+/// update syntax.
 #[derive(Debug)]
 pub struct ServicePolicies {
     /// Shard assignment at admission and at failover re-placement.
@@ -217,24 +223,12 @@ pub struct ServicePolicies {
 }
 
 impl ServicePolicies {
-    /// The stock policies: least-loaded placement, the config's
+    /// The stock policies: [`TieredPlacement`] (routing by backend kind and
+    /// priority; on a fleet of one kind it is exactly
+    /// [`least_loaded_shard`](crate::least_loaded_shard)), the config's
     /// [`DegradedPolicy`], [`RecharacterizeOnQuarantine`], and no rate
     /// limiting.
     pub fn for_config(cfg: &RngServiceConfig) -> Self {
-        ServicePolicies {
-            placement: Box::new(LeastLoaded),
-            admission: Box::new(cfg.degraded),
-            requalify: Box::new(RecharacterizeOnQuarantine),
-            qos: Box::new(NoQos),
-        }
-    }
-
-    /// The stock policies of a heterogeneous mesh
-    /// ([`RngService::start_mesh`](crate::RngService::start_mesh)):
-    /// [`TieredPlacement`] routing by backend kind and priority, the
-    /// config's [`DegradedPolicy`], [`RecharacterizeOnQuarantine`], and no
-    /// rate limiting.
-    pub fn for_mesh(cfg: &RngServiceConfig) -> Self {
         ServicePolicies {
             placement: Box::new(TieredPlacement),
             admission: Box::new(cfg.degraded),
@@ -511,7 +505,7 @@ pub(crate) fn sweep_shard_expired(
 /// The sweeper waits on the dedicated `deadlines` condvar, signalled only by
 /// deadline-carrying admissions and lifecycle changes: while no queued
 /// request carries a deadline it parks indefinitely, so deadline-free load
-/// never wakes it (it used to share the `work` condvar, which `admit`
+/// never wakes it (it used to share the `work` condvar, which admission
 /// notifies on *every* submission — a wake storm scanning all shards under
 /// the state lock for nothing). While deadlines are queued, it rests a full
 /// interval between scans, absorbing admission notifies without extra scans,

@@ -154,7 +154,7 @@ pub fn prometheus_text(stats: &ServiceStats) -> String {
     counter(
         &mut out,
         "qt_rng_validation_bytes_tapped_total",
-        "Served bytes copied into the validator tap.",
+        "Served bytes copied into the per-shard grader queues.",
         stats.validation.bytes_tapped,
     );
     counter(

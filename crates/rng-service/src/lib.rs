@@ -22,7 +22,8 @@
 //! ```text
 //!                         CONTROL PLANE
 //!   ┌────────────────────────────────────────────────────────────┐
-//!   │ placement  — PlacementPolicy (least-loaded + rotation)     │
+//!   │ placement  — PlacementPolicy (TieredPlacement: tier, then  │
+//!   │              least-loaded + rotation)                      │
 //!   │ control    — AdmissionPolicy (DegradedPolicy),             │
 //!   │              RequalifyPolicy, per-shard graders,           │
 //!   │              quarantine failover, deadline-expiry sweep    │
@@ -30,7 +31,7 @@
 //!   └──────────────▲─────────────────────────────▲───────────────┘
 //!                  │ one Mutex<State> + condvars │
 //!   ┌──────────────▼─────────────────────────────▼───────────────┐
-//!   │ service    — config, admission, lifecycle glue             │
+//!   │ service    — config, one admission path, lifecycle glue    │
 //!   │ queue      — per-shard ShardScheduler (bands, round-robin, │
 //!   │              fairness window)                              │
 //!   │ worker     — batch loop: fill_bytes → pace (IdleBudget)    │
@@ -43,18 +44,24 @@
 //!
 //! Module map and seams:
 //!
-//! * [`service`] — [`RngServiceConfig`], admission (backpressure, deadline
-//!   checks), thread lifecycle. [`RngService::start_with_policies`] is the
-//!   injection point for a custom [`ServicePolicies`] set;
-//!   [`RngService::start_mesh`] runs a heterogeneous **entropy mesh** of
-//!   boxed [`EntropyBackend`](quac_trng::EntropyBackend)s (QUAC, D-RaNGe,
-//!   retention) with tiered placement and cross-tier failover.
-//! * [`placement`] — [`PlacementPolicy`] + the default
-//!   [`least_loaded_shard`] rule: least-loaded serving shard, rotation
+//! * [`service`] — [`RngServiceConfig`], admission, thread lifecycle. Every
+//!   submit variant runs one admission path with one order of checks:
+//!   lifecycle, a serving shard (else the [`DegradedPolicy`]; a mixed
+//!   request needs two serving kinds), the deadline, the in-flight budget
+//!   (park or [`SubmitError::Saturated`]), then the QoS charge and
+//!   placement. [`RngService::start`] boxes its QUAC shards and calls
+//!   [`RngService::start_mesh`], which runs any set of boxed
+//!   [`EntropyBackend`](quac_trng::EntropyBackend)s (QUAC, D-RaNGe,
+//!   retention — the **entropy mesh**) with the stock
+//!   [`ServicePolicies::for_config`]; [`RngService::start_with_policies`]
+//!   is the injection point for a custom [`ServicePolicies`] set.
+//! * [`placement`] — [`PlacementPolicy`] and the one stock policy,
+//!   [`TieredPlacement`]: it routes by priority across backend kinds, falls
+//!   through tiers as quarantine empties them, and within a tier applies
+//!   the [`least_loaded_shard`] rule — least-loaded serving shard, rotation
 //!   tie-break (so an idle service degrades to round-robin), quarantined
-//!   shards skipped while any healthy shard exists. [`TieredPlacement`]
-//!   routes by priority across backend kinds and falls through tiers as
-//!   quarantine empties them.
+//!   shards skipped while any healthy shard exists. On a fleet of one kind
+//!   it is exactly that rule.
 //! * [`mixer`] — cross-source conditioning: XOR-fold + batched SHA-256 over
 //!   two independent backends' streams ([`RngService::submit_mixed`],
 //!   [`MixedTicket`]), pinned bit-for-bit to the scalar

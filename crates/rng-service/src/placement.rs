@@ -3,6 +3,13 @@
 //! lets alternative rules (pinning, locality, DR-STRaNGe-style interference
 //! avoidance) plug into the service without touching its state machine.
 //!
+//! There is one stock policy, [`TieredPlacement`], for every service: it
+//! routes by request priority across backend kinds and, within the chosen
+//! tier, applies [`least_loaded_shard`] (least-loaded serving shard,
+//! rotation tie-break). On a fleet of one backend kind — every
+//! [`RngService::start`](crate::RngService::start) instance — no tier
+//! choice is left, and it picks exactly what [`least_loaded_shard`] picks.
+//!
 //! Placement runs under the service's state lock with a read-only
 //! [`PlacementView`] of the moment's loads and health, so a policy is a pure
 //! function: deterministic placement is what the serial-equivalence and
@@ -49,25 +56,9 @@ pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
     fn place(&self, view: &PlacementView<'_>) -> usize;
 }
 
-/// The default policy: [`least_loaded_shard`] — least-loaded serving shard,
-/// rotation tie-break.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoaded;
-
-impl PlacementPolicy for LeastLoaded {
-    fn place(&self, view: &PlacementView<'_>) -> usize {
-        least_loaded_shard(
-            view.loads.len(),
-            view.rotation,
-            |i| view.loads[i],
-            |i| !view.health[i].is_serving(),
-        )
-    }
-}
-
-/// Tier-aware placement over a heterogeneous entropy mesh: route each
-/// request to its preferred backend tier, falling through to slower tiers
-/// when the preferred one has no serving shard.
+/// The stock placement policy: route each request to its preferred backend
+/// tier, falling through to slower tiers when the preferred one has no
+/// serving shard.
 ///
 /// The tier preference is a pure function of the request priority:
 ///
@@ -80,9 +71,10 @@ impl PlacementPolicy for LeastLoaded {
 /// Retention is always the last resort (slow, bursty). Within the chosen
 /// tier the rule is exactly [`least_loaded_shard`] with non-tier shards
 /// masked out, so the policy inherits its round-robin tie-break and the
-/// replay-determinism contract. When *no* shard in any tier is serving
-/// (the degraded state) it falls back to plain least-loaded over all
-/// shards, keeping the rule total like the default policy.
+/// replay-determinism contract; on a fleet of one kind it is exactly
+/// [`least_loaded_shard`]. When *no* shard in any tier is serving (the
+/// degraded state) it falls back to plain least-loaded over all shards,
+/// keeping the rule total.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TieredPlacement;
 
@@ -98,34 +90,26 @@ impl TieredPlacement {
 
 impl PlacementPolicy for TieredPlacement {
     fn place(&self, view: &PlacementView<'_>) -> usize {
+        let count = view.loads.len();
         let serving_kind = |i: usize, kind: BackendKind| {
             view.health[i].is_serving() && view.kinds.get(i).copied() == Some(kind)
         };
-        for kind in Self::tier_order(view.priority) {
-            if (0..view.loads.len()).any(|i| serving_kind(i, kind)) {
-                return least_loaded_shard(
-                    view.loads.len(),
-                    view.rotation,
-                    |i| view.loads[i],
-                    |i| !serving_kind(i, kind),
-                );
-            }
-        }
-        // Every shard of every tier is fenced (or kinds are unknown):
-        // degrade to the default rule so the pick stays total.
-        least_loaded_shard(
-            view.loads.len(),
-            view.rotation,
-            |i| view.loads[i],
-            |i| !view.health[i].is_serving(),
-        )
+        // The first tier with a serving shard. There is none when every
+        // shard of every tier is fenced (or kinds are unknown): the rule
+        // then degrades to plain least-loaded so the pick stays total.
+        let tier = Self::tier_order(view.priority)
+            .into_iter()
+            .find(|&kind| (0..count).any(|i| serving_kind(i, kind)));
+        least_loaded_shard(count, view.rotation, |i| view.loads[i], |i| match tier {
+            Some(kind) => !serving_kind(i, kind),
+            None => !view.health[i].is_serving(),
+        })
     }
 }
 
 /// Least-loaded, quarantine-aware shard placement — the pure decision rule
-/// behind [`RngService::submit`](crate::RngService::submit)'s shard
-/// assignment, split out so placement properties can be tested without
-/// threads.
+/// [`TieredPlacement`] applies within a tier, split out so placement
+/// properties can be tested without threads.
 ///
 /// Scans the `count` shards starting from `start` (the rotation point the
 /// service advances past each pick) and returns the first non-quarantined
@@ -213,26 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_policy_matches_the_pure_rule() {
-        use crate::health::ShardState;
-        let loads = [40usize, 10, 10];
-        let mut health = vec![ShardHealth::new(); 3];
-        health[1].state = ShardState::Quarantined;
-        let view = PlacementView {
-            loads: &loads,
-            health: &health,
-            kinds: &[BackendKind::Quac; 3],
-            priority: Priority::Normal,
-            rotation: 0,
-        };
-        // Shard 1 has minimal load but is fenced: the policy must pick 2.
-        assert_eq!(LeastLoaded.place(&view), 2);
-        let expected =
-            least_loaded_shard(3, 0, |i| loads[i], |i| !health[i].is_serving());
-        assert_eq!(LeastLoaded.place(&view), expected);
-    }
-
-    #[test]
     fn tiered_placement_routes_by_priority_and_falls_through_tiers() {
         use crate::health::ShardState;
         fn place(health: &[ShardHealth], priority: Priority) -> usize {
@@ -305,6 +269,43 @@ mod tests {
                 let min_all = loads.iter().copied().min().unwrap();
                 prop_assert_eq!(loads[pick], min_all);
             }
+        }
+
+        /// On a fleet of one backend kind — any of the three — tiered
+        /// placement is the plain least-loaded rule, for every load vector,
+        /// health mask, rotation and priority: the one stock policy places
+        /// a homogeneous service exactly as the pure rule does.
+        #[test]
+        fn prop_tiered_placement_is_least_loaded_on_one_kind(
+            loads in proptest::collection::vec(0usize..1000, 1..9),
+            mask in proptest::collection::vec(any::<bool>(), 1..9),
+            start in 0usize..9,
+            kind in 0usize..3,
+            high in any::<bool>(),
+        ) {
+            let n = loads.len().min(mask.len());
+            let loads = &loads[..n];
+            let health: Vec<ShardHealth> = mask[..n]
+                .iter()
+                .map(|&fenced| {
+                    let mut h = ShardHealth::new();
+                    if fenced {
+                        h.force_quarantine();
+                    }
+                    h
+                })
+                .collect();
+            let kind = [BackendKind::Quac, BackendKind::DRange, BackendKind::Retention][kind];
+            let view = PlacementView {
+                loads,
+                health: &health,
+                kinds: &vec![kind; n],
+                priority: if high { Priority::High } else { Priority::Normal },
+                rotation: start % n,
+            };
+            let expected =
+                least_loaded_shard(n, start % n, |i| loads[i], |i| !health[i].is_serving());
+            prop_assert_eq!(TieredPlacement.place(&view), expected);
         }
     }
 }

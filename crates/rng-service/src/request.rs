@@ -114,10 +114,12 @@ pub enum SubmitError {
     Empty,
     /// The service is shutting down and no longer accepts work.
     ShuttingDown,
-    /// Every shard is quarantined and the configured
-    /// [`DegradedPolicy`](crate::DegradedPolicy) gave up on admission:
-    /// immediately under `FailFast` (and always for `try_submit`), or after
-    /// the parking bound elapsed without a readmission under `Park`.
+    /// Every shard is quarantined and a plain submission was refused:
+    /// immediately for a non-blocking (`try_`) call under either
+    /// [`DegradedPolicy`](crate::DegradedPolicy); for a blocking call,
+    /// immediately under `FailFast`, or under `Park` once the parking bound
+    /// (capped by the request's own deadline) elapsed without a
+    /// readmission.
     Degraded {
         /// Number of shards, all of which are currently out of placement.
         quarantined: usize,

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 /// A sharded, batching, backpressured random-number service: one worker
 /// thread per [`QuacTrng`] shard (channel), a priority/round-robin scheduler
-/// per shard, least-loaded quarantine-aware placement, a service-wide
+/// per shard, tiered least-loaded quarantine-aware placement, a service-wide
 /// in-flight byte budget, and (optionally) continuous validation: one grader
 /// thread per shard grading that shard's served windows with the NIST
 /// battery.
@@ -46,41 +46,24 @@ pub struct RngService {
 impl RngService {
     /// Starts the service over the given per-channel generator shards
     /// (usually built with [`QuacTrng::shards`]) with the stock policies
-    /// ([`ServicePolicies::for_config`]).
+    /// ([`ServicePolicies::for_config`]): a homogeneous
+    /// [`RngService::start_mesh`].
     ///
     /// # Panics
     ///
     /// Panics if `shards` is empty, or if validation is enabled with a
     /// window that is not a whole number of bytes.
     pub fn start(shards: Vec<QuacTrng>, cfg: RngServiceConfig) -> Self {
-        let policies = ServicePolicies::for_config(&cfg);
-        Self::start_with_policies(shards, cfg, policies)
-    }
-
-    /// Like [`RngService::start`], with an explicit control-plane policy set
-    /// — the seam where custom placement, degraded-admission, or
-    /// requalification rules plug in without touching the service's state
-    /// machine. A placement policy that is a pure function of its view
-    /// preserves the replay-determinism contract.
-    ///
-    /// # Panics
-    ///
-    /// As [`RngService::start`].
-    pub fn start_with_policies(
-        shards: Vec<QuacTrng>,
-        cfg: RngServiceConfig,
-        policies: ServicePolicies,
-    ) -> Self {
         let backends = shards
             .into_iter()
             .map(|shard| Box::new(shard) as Box<dyn EntropyBackend>)
             .collect();
-        Self::start_backends(backends, cfg, policies)
+        Self::start_mesh(backends, cfg)
     }
 
     /// Starts the service over a heterogeneous set of entropy backends — the
-    /// **entropy mesh** — with the mesh policies
-    /// ([`ServicePolicies::for_mesh`]): tiered placement routes
+    /// **entropy mesh** — with the stock policies
+    /// ([`ServicePolicies::for_config`]): tiered placement routes
     /// latency-sensitive ([`Priority::High`]) requests to D-RaNGe shards and
     /// bulk ([`Priority::Normal`]) to QUAC shards, with retention the last
     /// resort, and quarantine failover re-places a fenced shard's queue
@@ -93,25 +76,20 @@ impl RngService {
     ///
     /// As [`RngService::start`].
     pub fn start_mesh(backends: Vec<Box<dyn EntropyBackend>>, cfg: RngServiceConfig) -> Self {
-        let policies = ServicePolicies::for_mesh(&cfg);
-        Self::start_backends(backends, cfg, policies)
+        let policies = ServicePolicies::for_config(&cfg);
+        Self::start_with_policies(backends, cfg, policies)
     }
 
-    /// Like [`RngService::start_mesh`], with an explicit control-plane
-    /// policy set.
+    /// Like [`RngService::start_mesh`], with an explicit control-plane policy
+    /// set — the seam where custom placement, degraded-admission,
+    /// requalification or QoS rules plug in without touching the service's
+    /// state machine. A placement policy that is a pure function of its view
+    /// preserves the replay-determinism contract.
     ///
     /// # Panics
     ///
     /// As [`RngService::start`].
-    pub fn start_mesh_with_policies(
-        backends: Vec<Box<dyn EntropyBackend>>,
-        cfg: RngServiceConfig,
-        policies: ServicePolicies,
-    ) -> Self {
-        Self::start_backends(backends, cfg, policies)
-    }
-
-    fn start_backends(
+    pub fn start_with_policies(
         backends: Vec<Box<dyn EntropyBackend>>,
         cfg: RngServiceConfig,
         policies: ServicePolicies,
@@ -238,7 +216,8 @@ impl RngService {
         priority: Priority,
         len: usize,
     ) -> Result<Ticket, SubmitError> {
-        self.submit_inner(client, priority, len, None)
+        self.admission(client, priority, len, None, Wait::Park, Shape::Plain)
+            .map(|(t, _)| t)
     }
 
     /// Like [`RngService::submit`], with a completion deadline: if the
@@ -267,89 +246,15 @@ impl RngService {
         len: usize,
         deadline: Instant,
     ) -> Result<Ticket, SubmitError> {
-        self.submit_inner(client, priority, len, Some(deadline))
-    }
-
-    fn submit_inner(
-        &self,
-        client: ClientId,
-        priority: Priority,
-        len: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, SubmitError> {
-        self.validate(len)?;
-        let mut st = self.lock();
-        self.charge_qos(&mut st, client, len)?;
-        // Pinned at the first degraded observation of this call, so repeated
-        // park/wake rounds share one bound instead of restarting it.
-        let mut park_deadline: Option<Instant> = None;
-        // Whether this submission has parked on the in-flight budget — the
-        // expiry stage a deadline crossed mid-park is attributed to.
-        let mut parked = false;
-        loop {
-            if st.lifecycle != Lifecycle::Running {
-                return Err(SubmitError::ShuttingDown);
-            }
-            if !st.health.iter().any(ShardHealth::is_serving) {
-                let quarantined = st.health.len();
-                let now = Instant::now();
-                let bound = match self.shared.policies.admission.degraded_park_bound(now) {
-                    None => {
-                        st.stats.degraded_rejections += 1;
-                        return Err(SubmitError::Degraded { quarantined });
-                    }
-                    Some(policy_bound) => {
-                        let bound = *park_deadline.get_or_insert(policy_bound);
-                        deadline.map_or(bound, |d| bound.min(d))
-                    }
-                };
-                if now >= bound {
-                    st.stats.degraded_rejections += 1;
-                    return Err(SubmitError::Degraded { quarantined });
-                }
-                let (guard, _) = self
-                    .shared
-                    .space
-                    .wait_timeout(st, bound - now)
-                    .expect("service state poisoned");
-                st = guard;
-                continue;
-            }
-            // A deadline already behind us — at first admission, or after a
-            // round parked on the in-flight budget below — resolves with the
-            // typed outcome immediately: the request is never placed or
-            // charged, and no submit path blocks past its own deadline.
-            if let Some(d) = deadline {
-                let now = Instant::now();
-                if now >= d {
-                    let stage = if parked {
-                        ExpiryStage::Parked
-                    } else {
-                        ExpiryStage::Admission
-                    };
-                    return Ok(self.admit_expired(&mut st, d, now, stage));
-                }
-            }
-            if st.in_flight_bytes + len <= self.shared.cfg.max_inflight_bytes {
-                break;
-            }
-            parked = true;
-            st = match deadline {
-                None => self.shared.space.wait(st).expect("service state poisoned"),
-                // Bounded budget park: wake at the deadline and fall through
-                // to the expiry check above.
-                Some(d) => {
-                    let now = Instant::now();
-                    let (guard, _) = self
-                        .shared
-                        .space
-                        .wait_timeout(st, d.saturating_duration_since(now))
-                        .expect("service state poisoned");
-                    guard
-                }
-            };
-        }
-        Ok(self.admit(&mut st, client, priority, len, deadline))
+        self.admission(
+            client,
+            priority,
+            len,
+            Some(deadline),
+            Wait::Park,
+            Shape::Plain,
+        )
+        .map(|(t, _)| t)
     }
 
     /// Submits a request without blocking.
@@ -367,7 +272,8 @@ impl RngService {
         priority: Priority,
         len: usize,
     ) -> Result<Ticket, SubmitError> {
-        self.try_submit_inner(client, priority, len, None)
+        self.admission(client, priority, len, None, Wait::Try, Shape::Plain)
+            .map(|(t, _)| t)
     }
 
     /// Like [`RngService::try_submit`], with a completion deadline (see
@@ -385,42 +291,15 @@ impl RngService {
         len: usize,
         deadline: Instant,
     ) -> Result<Ticket, SubmitError> {
-        self.try_submit_inner(client, priority, len, Some(deadline))
-    }
-
-    fn try_submit_inner(
-        &self,
-        client: ClientId,
-        priority: Priority,
-        len: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, SubmitError> {
-        self.validate(len)?;
-        let mut st = self.lock();
-        self.charge_qos(&mut st, client, len)?;
-        if st.lifecycle != Lifecycle::Running {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if !st.health.iter().any(ShardHealth::is_serving) {
-            st.stats.degraded_rejections += 1;
-            return Err(SubmitError::Degraded {
-                quarantined: st.health.len(),
-            });
-        }
-        if let Some(d) = deadline {
-            let now = Instant::now();
-            if now >= d {
-                return Ok(self.admit_expired(&mut st, d, now, ExpiryStage::Admission));
-            }
-        }
-        if st.in_flight_bytes + len > self.shared.cfg.max_inflight_bytes {
-            return Err(SubmitError::Saturated {
-                requested: len,
-                in_flight: st.in_flight_bytes,
-                budget: self.shared.cfg.max_inflight_bytes,
-            });
-        }
-        Ok(self.admit(&mut st, client, priority, len, deadline))
+        self.admission(
+            client,
+            priority,
+            len,
+            Some(deadline),
+            Wait::Try,
+            Shape::Plain,
+        )
+        .map(|(t, _)| t)
     }
 
     /// Submits a request that demands **multi-source independence**: one
@@ -447,37 +326,162 @@ impl RngService {
         priority: Priority,
         len: usize,
     ) -> Result<MixedTicket, SubmitError> {
-        self.validate(len)?;
-        let per_source = mixer::source_len(len);
-        let total = 2 * per_source;
-        if total > self.shared.cfg.max_inflight_bytes {
-            return Err(SubmitError::TooLarge {
-                requested: total,
-                budget: self.shared.cfg.max_inflight_bytes,
-            });
+        let (a, b) = self.admission(client, priority, len, None, Wait::Park, Shape::Mixed)?;
+        let b = b.expect("a mixed admission places two sources");
+        Ok(MixedTicket::new(a, b, len, Arc::clone(&self.shared)))
+    }
+
+    /// The one admission path behind every submit variant: under the state
+    /// lock it runs the same ordered checks, again after each park.
+    ///
+    /// 1. Lifecycle: [`SubmitError::ShuttingDown`] once shutdown has begun.
+    /// 2. Serving: a plain request with no serving shard goes to the
+    ///    degraded policy, which parks it only when blocking; a mixed request
+    ///    without two serving backend kinds gets
+    ///    [`SubmitError::NoIndependentSources`] at once.
+    /// 3. Deadline: a past deadline resolves to an [`Expired`] ticket, with
+    ///    stage `Parked` if the call has parked on the budget and `Admission`
+    ///    otherwise.
+    /// 4. Budget: a request that does not fit parks (bounded by its deadline)
+    ///    when blocking, or is refused with [`SubmitError::Saturated`].
+    /// 5. QoS charge, then placement: `admit_to` once per source.
+    ///
+    /// Only a request that reaches step 5 is charged to its client's QoS
+    /// allowance, so a refused or expired submission costs no tokens.
+    /// Returns the plain ticket, or a mixed request's two source tickets.
+    fn admission(
+        &self,
+        client: ClientId,
+        priority: Priority,
+        len: usize,
+        deadline: Option<Instant>,
+        wait: Wait,
+        shape: Shape,
+    ) -> Result<(Ticket, Option<Ticket>), SubmitError> {
+        if len == 0 {
+            return Err(SubmitError::Empty);
+        }
+        let budget = self.shared.cfg.max_inflight_bytes;
+        // In-flight bytes the request occupies: both halves of a mixed one.
+        let cost = match shape {
+            Shape::Plain => len,
+            Shape::Mixed => 2 * mixer::source_len(len),
+        };
+        if let Some(requested) = [len, cost].into_iter().find(|&bytes| bytes > budget) {
+            return Err(SubmitError::TooLarge { requested, budget });
         }
         let mut st = self.lock();
-        // QoS charges the client-visible length, not the amplified source
-        // bytes — the mixing amplification is the service's cost model, not
-        // the tenant's.
-        self.charge_qos(&mut st, client, len)?;
-        loop {
+        // Pinned at the first degraded observation of this call, so repeated
+        // park/wake rounds share one bound instead of restarting it.
+        let mut degraded_bound: Option<Instant> = None;
+        // Whether this submission has parked on the in-flight budget — the
+        // expiry stage a deadline crossed mid-park is attributed to.
+        let mut parked = false;
+        let sources = loop {
             if st.lifecycle != Lifecycle::Running {
                 return Err(SubmitError::ShuttingDown);
             }
-            let Some((first, second)) =
-                pick_independent_sources(&st.backend_kinds, &st.health, &st.shard_load)
-            else {
-                let serving_kinds = serving_kind_count(&st.backend_kinds, &st.health);
-                st.stats.degraded_rejections += 1;
-                return Err(SubmitError::NoIndependentSources { serving_kinds });
+            let sources = match shape {
+                Shape::Mixed => {
+                    let pair =
+                        pick_independent_sources(&st.backend_kinds, &st.health, &st.shard_load);
+                    if pair.is_none() {
+                        let serving_kinds = serving_kind_count(&st.backend_kinds, &st.health);
+                        st.stats.degraded_rejections += 1;
+                        return Err(SubmitError::NoIndependentSources { serving_kinds });
+                    }
+                    pair
+                }
+                Shape::Plain if st.health.iter().any(ShardHealth::is_serving) => None,
+                Shape::Plain => {
+                    let now = Instant::now();
+                    let bound = match wait {
+                        Wait::Park => self.shared.policies.admission.degraded_park_bound(now),
+                        Wait::Try => None,
+                    }
+                    .map(|policy_bound| {
+                        let bound = *degraded_bound.get_or_insert(policy_bound);
+                        deadline.map_or(bound, |d| bound.min(d))
+                    });
+                    match bound {
+                        Some(bound) if now < bound => {
+                            st = self.park(st, Some(bound));
+                            continue;
+                        }
+                        _ => {
+                            st.stats.degraded_rejections += 1;
+                            return Err(SubmitError::Degraded {
+                                quarantined: st.health.len(),
+                            });
+                        }
+                    }
+                }
             };
-            if st.in_flight_bytes + total <= self.shared.cfg.max_inflight_bytes {
-                let a = self.admit_to(&mut st, client, priority, per_source, None, first);
-                let b = self.admit_to(&mut st, client, priority, per_source, None, second);
-                return Ok(MixedTicket::new(a, b, len, Arc::clone(&self.shared)));
+            // A deadline already behind us — at first admission, or after a
+            // round parked on the in-flight budget — resolves with the typed
+            // outcome immediately: the request is never placed or charged,
+            // and no submit path blocks past its own deadline.
+            if let Some(d) = deadline {
+                let now = Instant::now();
+                if now >= d {
+                    let stage = if parked {
+                        ExpiryStage::Parked
+                    } else {
+                        ExpiryStage::Admission
+                    };
+                    return Ok((self.admit_expired(&mut st, d, now, stage), None));
+                }
             }
-            st = self.shared.space.wait(st).expect("service state poisoned");
+            if st.in_flight_bytes + cost <= budget {
+                break sources;
+            }
+            if wait == Wait::Try {
+                return Err(SubmitError::Saturated {
+                    requested: cost,
+                    in_flight: st.in_flight_bytes,
+                    budget,
+                });
+            }
+            parked = true;
+            // Bounded by the deadline: wake then and fall through to the
+            // expiry check above.
+            st = self.park(st, deadline);
+        };
+        self.charge_qos(&mut st, client, len)?;
+        Ok(match sources {
+            None => {
+                let shard = st.place(&*self.shared.policies.placement, priority);
+                (
+                    self.admit_to(&mut st, client, priority, len, deadline, shard),
+                    None,
+                )
+            }
+            Some((first, second)) => {
+                let half = cost / 2;
+                let a = self.admit_to(&mut st, client, priority, half, deadline, first);
+                let b = self.admit_to(&mut st, client, priority, half, deadline, second);
+                (a, Some(b))
+            }
+        })
+    }
+
+    /// Parks a submitter on the `space` condvar until in-flight bytes are
+    /// released or the lifecycle changes, and at most until `until`.
+    fn park<'a>(
+        &'a self,
+        st: MutexGuard<'a, State>,
+        until: Option<Instant>,
+    ) -> MutexGuard<'a, State> {
+        let space = &self.shared.space;
+        match until {
+            None => space.wait(st).expect("service state poisoned"),
+            Some(t) => {
+                let timeout = t.saturating_duration_since(Instant::now());
+                space
+                    .wait_timeout(st, timeout)
+                    .expect("service state poisoned")
+                    .0
+            }
         }
     }
 
@@ -543,22 +547,13 @@ impl RngService {
         }
     }
 
-    fn validate(&self, len: usize) -> Result<(), SubmitError> {
-        if len == 0 {
-            return Err(SubmitError::Empty);
-        }
-        if len > self.shared.cfg.max_inflight_bytes {
-            return Err(SubmitError::TooLarge {
-                requested: len,
-                budget: self.shared.cfg.max_inflight_bytes,
-            });
-        }
-        Ok(())
-    }
-
-    /// Charges `len` bytes against the client's QoS allowance. A rejection
-    /// is typed and immediate for blocking and non-blocking paths alike —
-    /// rate limiting is policy, not backpressure, so nothing parks on it.
+    /// Charges `len` bytes against the client's QoS allowance, once per
+    /// submission, after every other admission check has passed — so a
+    /// blocking call may park on the budget before it is charged, but a
+    /// rate-limit rejection itself is typed and immediate for blocking and
+    /// non-blocking paths alike: rate limiting is policy, not backpressure,
+    /// so nothing parks on it. A mixed request is charged the
+    /// client-visible length, not its amplified source bytes.
     fn charge_qos(
         &self,
         st: &mut MutexGuard<'_, State>,
@@ -582,27 +577,9 @@ impl RngService {
         }
     }
 
-    /// Admits a validated, budget-fitting request: assigns its sequence
-    /// number and shard (via the placement policy — least-loaded healthy
-    /// shard with rotation tie-break by default, so an idle service degrades
-    /// to the round-robin assignment the serial-equivalence tests replay),
-    /// charges the budget, records the queue-depth sample, and wakes a
-    /// worker.
-    fn admit(
-        &self,
-        st: &mut MutexGuard<'_, State>,
-        client: ClientId,
-        priority: Priority,
-        len: usize,
-        deadline: Option<Instant>,
-    ) -> Ticket {
-        let shard = st.place(&*self.shared.policies.placement, priority);
-        self.admit_to(st, client, priority, len, deadline, shard)
-    }
-
-    /// [`admit`](Self::admit) with the shard already chosen — the seam
-    /// [`submit_mixed`](Self::submit_mixed) uses to pin each half of a mixed
-    /// request to its pre-selected independent source.
+    /// Queues an admitted, budget-fitting request on `shard`: assigns its
+    /// sequence number, charges the budget, records the queue-depth sample,
+    /// and wakes a worker.
     fn admit_to(
         &self,
         st: &mut MutexGuard<'_, State>,
@@ -708,6 +685,22 @@ fn serving_kind_count(kinds: &[BackendKind], health: &[ShardHealth]) -> usize {
             .any(|(k, h)| k == kind && h.is_serving())
     })
     .count()
+}
+
+/// Whether a submission that cannot be admitted right now parks (the
+/// blocking variants) or is refused at once (the `try_` variants).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    Park,
+    Try,
+}
+
+/// What an admission places: one request on the placement policy's shard,
+/// or a mixed request's two halves on a pair of independent sources.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    Plain,
+    Mixed,
 }
 
 impl Drop for RngService {

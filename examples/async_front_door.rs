@@ -14,6 +14,7 @@ use quac_trng_repro::rng_service::{
 };
 use quac_trng_repro::trng::characterize::{characterize_module, CharacterizationConfig};
 use quac_trng_repro::trng::pipeline::QuacTrng;
+use quac_trng_repro::trng::EntropyBackend;
 
 fn main() {
     // A small simulated module keeps the example instant; the service API is
@@ -32,11 +33,11 @@ fn main() {
     let service_cfg = RngServiceConfig::default();
     let mut policies = ServicePolicies::for_config(&service_cfg);
     policies.qos = Box::new(TokenBucketQos::new(1024.0, 4096));
-    let service = RngService::start_with_policies(
-        QuacTrng::shards(&model, &ch, 0xA5F0, 2),
-        service_cfg,
-        policies,
-    );
+    let backends = QuacTrng::shards(&model, &ch, 0xA5F0, 2)
+        .into_iter()
+        .map(|shard| Box::new(shard) as Box<dyn EntropyBackend>)
+        .collect();
+    let service = RngService::start_with_policies(backends, service_cfg, policies);
 
     // Submit first, await later: the tickets resolve concurrently while this
     // thread is free to do other work. `block_on` is the shipped no-runtime

@@ -62,6 +62,14 @@ fn tiny_shards(count: usize) -> Vec<QuacTrng> {
     QuacTrng::shards(model, ch, BASE_SEED, count)
 }
 
+/// [`tiny_shards`] boxed for [`RngService::start_with_policies`].
+fn tiny_backends(count: usize) -> Vec<Box<dyn EntropyBackend>> {
+    tiny_shards(count)
+        .into_iter()
+        .map(|shard| Box::new(shard) as Box<dyn EntropyBackend>)
+        .collect()
+}
+
 /// A two-kind mesh (QUAC + D-RaNGe), the minimum for mixed submissions.
 fn two_kind_mesh() -> Vec<Box<dyn EntropyBackend>> {
     let (model, ch) = characterized();
@@ -304,7 +312,7 @@ fn token_bucket_qos_sheds_a_greedy_tenant_without_touching_its_peer() {
     // 1 KiB burst, trickle refill: the third 512 B request in a tight loop
     // must bounce with the typed error while the other tenant is untouched.
     policies.qos = Box::new(TokenBucketQos::new(64.0, 1024));
-    let service = RngService::start_with_policies(tiny_shards(1), cfg, policies);
+    let service = RngService::start_with_policies(tiny_backends(1), cfg, policies);
     for _ in 0..2 {
         let t = service.submit(ClientId(7), Priority::Normal, 512).unwrap();
         t.wait().expect("within burst");
@@ -330,6 +338,44 @@ fn token_bucket_qos_sheds_a_greedy_tenant_without_touching_its_peer() {
     t.wait().expect("served");
     let stats = service.shutdown();
     assert_eq!(stats.rate_limited_rejections, 1);
+}
+
+#[test]
+fn refused_submissions_spend_no_qos_tokens() {
+    const BUDGET: usize = 1024;
+    let cfg = RngServiceConfig {
+        max_inflight_bytes: BUDGET,
+        max_batch_requests: 1,
+        max_batch_bytes: BUDGET,
+        pacing: IdleBudget::from_gbps(4e-5),
+        ..RngServiceConfig::default()
+    };
+    let mut policies = ServicePolicies::for_config(&cfg);
+    // A 1 KiB burst that refills about one byte over the whole test.
+    policies.qos = Box::new(TokenBucketQos::new(1.0, BUDGET));
+    let service = RngService::start_with_policies(tiny_backends(1), cfg, policies);
+    // Another tenant fills the in-flight budget, and pacing holds it there
+    // for about 200 ms.
+    let hog = service
+        .submit(ClientId(0), Priority::Normal, BUDGET)
+        .unwrap();
+    // A client retrying under backpressure is refused as Saturated every
+    // time: the refusals must not drain its bucket into RateLimited.
+    for _ in 0..4 {
+        match service.try_submit(ClientId(7), Priority::Normal, 512) {
+            Err(SubmitError::Saturated { .. }) => {}
+            other => panic!("a full budget must refuse with Saturated: {other:?}"),
+        }
+    }
+    hog.wait().expect("served");
+    // The budget is free and the bucket still full: the whole burst is
+    // admitted.
+    let ticket = service
+        .submit(ClientId(7), Priority::Normal, BUDGET)
+        .expect("refused submissions spent no tokens");
+    let stats = service.shutdown();
+    assert_eq!(ticket.wait().expect("served").bytes.len(), BUDGET);
+    assert_eq!(stats.rate_limited_rejections, 0);
 }
 
 // ---- satellite regressions ----

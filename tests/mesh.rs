@@ -349,9 +349,9 @@ fn per_shard_verdicts_match_serial_batteries_over_the_served_streams() {
     ];
     let policies = ServicePolicies {
         requalify: Box::new(RestAfterOneAttempt),
-        ..ServicePolicies::for_mesh(&cfg)
+        ..ServicePolicies::for_config(&cfg)
     };
-    let service = RngService::start_mesh_with_policies(backends, cfg, policies);
+    let service = RngService::start_with_policies(backends, cfg, policies);
     // One request outstanding at a time: bulk work alternates between the
     // two QUAC shards (the healthy one alone once the faulty one is
     // fenced), latency-sensitive work goes to D-RaNGe.

@@ -114,7 +114,7 @@ qt_rng_shard_fresh_bits_claimed_total{shard="1",backend="drange"} 4096
 # TYPE qt_rng_shard_conditioned_bytes_served_total counter
 qt_rng_shard_conditioned_bytes_served_total{shard="0",backend="quac"} 512
 qt_rng_shard_conditioned_bytes_served_total{shard="1",backend="drange"} 256
-# HELP qt_rng_validation_bytes_tapped_total Served bytes copied into the validator tap.
+# HELP qt_rng_validation_bytes_tapped_total Served bytes copied into the per-shard grader queues.
 # TYPE qt_rng_validation_bytes_tapped_total counter
 qt_rng_validation_bytes_tapped_total 700
 # HELP qt_rng_validation_bytes_dropped_total Served bytes that bypassed validation (lossy tap).

@@ -1062,7 +1062,11 @@ fn custom_placement_policy_owns_shard_assignment() {
     let cfg = RngServiceConfig::default();
     let mut policies = ServicePolicies::for_config(&cfg);
     policies.placement = Box::new(PinToZero);
-    let service = RngService::start_with_policies(shards, cfg, policies);
+    let backends = shards
+        .into_iter()
+        .map(|s| Box::new(s) as Box<dyn quac_trng_repro::trng::EntropyBackend>)
+        .collect();
+    let service = RngService::start_with_policies(backends, cfg, policies);
     let completions: Vec<Completion> = (0..12)
         .map(|_| {
             let t = service.submit(ClientId(0), Priority::Normal, 512).unwrap();
