@@ -9,14 +9,14 @@
 //!   analog model ([`FailureModel`] activation-latency failures for
 //!   [`DRangeTrng`], [`RetentionModel`] pause failures for
 //!   [`RetentionTrng`]),
-//! * the word-parallel [`PackedSampler`] hot path over a seeded
+//! * the [`BitSlicedSampler`] QUAC samples with, over a seeded
 //!   [`NoiseRng`], pinned bit-identical to the scalar
-//!   [`sample_reference`] walk,
+//!   [`sample_bitsliced_reference`] walk,
 //! * SHA-256 2:1 conditioning of each harvested row image (64-byte raw
-//!   blocks → 32-byte digests, batched through `qt_crypto::batch`),
-//! * the `QuacTrng` fault seam: an injected [`FaultInjector`] corrupts
-//!   delivered bytes as a pure function of the absolute stream offset, so
-//!   chaos campaigns drive every tier with the same machinery.
+//!   blocks → 32-byte digests) through the shared [`ConditionedStream`],
+//!   which also owns the output buffer, the delivery-boundary fault seam,
+//!   the delivered offset and the fresh-bit counter — so chaos campaigns
+//!   drive every tier with the same machinery.
 //!
 //! Each generator carries a frozen `fill_bytes_reference` twin (scalar
 //! sampling + scalar hashing) and the stream contract is: same
@@ -46,15 +46,12 @@
 
 use crate::drange::DRange;
 use crate::talukder::Talukder;
-use qt_crypto::batch::digest_many_into;
-use qt_crypto::sha256::{Sha256, Sha256Digest};
-use qt_dram_analog::sampler::{sample_reference, PackedSampler};
-use qt_dram_analog::{BitThreshold, FailureModel, NoiseRng, RetentionModel};
+use qt_dram_analog::sampler::sample_bitsliced_reference;
+use qt_dram_analog::{BitSlicedSampler, BitThreshold, FailureModel, NoiseRng, RetentionModel};
 use qt_dram_core::{BitVec, DramGeometry, RowAddr, TransferRate};
 use quac_trng::backend::{BackendClass, BackendKind, EntropyBackend};
 use quac_trng::characterize::CharacterizationConfig;
-use quac_trng::fault::FaultInjector;
-use std::collections::VecDeque;
+use quac_trng::stream::{ConditionedStream, RawMessages};
 
 /// tRCD fraction the D-RaNGe generator reads at — matches the operating
 /// point `DRange::enhanced_from_characterisation` scans entropy at.
@@ -80,113 +77,60 @@ fn candidate_rows(geom: &DramGeometry) -> impl Iterator<Item = usize> {
         .take(MAX_CANDIDATE_ROWS)
 }
 
-/// Shared engine of both generators: probability-vector sampling through
-/// [`PackedSampler`], SHA-256 2:1 conditioning, a byte buffer, and the
-/// delivery-boundary fault seam.
+/// Bits per SHA-256 input: a 64-byte block of the row image.
+const BLOCK_BITS: usize = 512;
+
+/// The raw source both generators share: the harvest rows' per-bitline
+/// one-probabilities, sampled through a [`BitSlicedSampler`].
 #[derive(Debug)]
-struct SampledStream {
+struct RowSource {
     /// The per-bit one-probabilities — kept for the scalar reference twin.
     probs: Vec<f64>,
-    sampler: PackedSampler,
-    rng: NoiseRng,
-    raw: BitVec,
-    raw_bytes: Vec<u8>,
-    digests: Vec<Sha256Digest>,
-    buffer: VecDeque<u8>,
-    fault: Option<FaultInjector>,
-    delivered: u64,
-    /// Raw fresh entropy bits sampled so far: the row image's metastable
-    /// bits, once per harvest. Monotone across restarts (the physics
-    /// consumed never rewinds) — the RNG service's entropy ledger takes
-    /// deltas of this counter.
-    fresh_bits: u64,
+    sampler: BitSlicedSampler,
+    noise: NoiseRng,
+    /// Reused compact sample of the metastable bits.
+    compact: BitVec,
+    /// Reused full row image, expanded from `compact`.
+    row: BitVec,
 }
 
-impl SampledStream {
+impl RowSource {
     fn new(probs: Vec<f64>, seed: u64) -> Self {
-        let sampler = PackedSampler::new(&probs);
+        let sampler = BitSlicedSampler::new(&probs);
         assert!(
             sampler.metastable_bits() > 0,
             "harvest rows carry no metastable bits; the stream would be constant"
         );
-        let raw = BitVec::zeros(probs.len());
-        SampledStream {
+        RowSource {
             probs,
             sampler,
-            rng: NoiseRng::new(seed),
-            raw,
-            raw_bytes: Vec::new(),
-            digests: Vec::new(),
-            buffer: VecDeque::new(),
-            fault: None,
-            delivered: 0,
-            fresh_bits: 0,
+            noise: NoiseRng::new(seed),
+            compact: BitVec::zeros(0),
+            row: BitVec::zeros(0),
         }
     }
 
-    /// One harvest on the word-parallel hot path: sample every bit of the
-    /// row image, pack to bytes, condition 64-byte blocks to 32-byte
-    /// digests with the batched SHA-256.
-    fn harvest(&mut self) {
-        self.fresh_bits += self.sampler.metastable_bits() as u64;
-        self.sampler.sample_into(&mut self.raw, &mut self.rng);
-        self.raw
-            .extract_bytes_into(0, self.raw.len(), &mut self.raw_bytes);
-        let blocks: Vec<&[u8]> = self.raw_bytes.chunks(64).collect();
-        self.digests.clear();
-        digest_many_into(&blocks, &mut self.digests);
-        for digest in &self.digests {
-            self.buffer.extend(digest);
+    /// One harvest on the hot path: sample the metastable bits, expand them
+    /// onto the row image, and append each 64-byte block as a message.
+    /// Returns the fresh bits drawn: the row image's metastable bits.
+    fn harvest(&mut self, messages: &mut RawMessages) -> u64 {
+        self.sampler
+            .sample_compact_into(&mut self.compact, &mut self.noise);
+        self.sampler.expand_compact_into(&self.compact, &mut self.row);
+        for start in (0..self.row.len()).step_by(BLOCK_BITS) {
+            messages.push_bits(&self.row, start, (start + BLOCK_BITS).min(self.row.len()));
         }
+        self.sampler.metastable_bits() as u64
     }
 
-    /// The frozen scalar twin of [`SampledStream::harvest`]: per-bit
-    /// threshold walk + one-message SHA-256. Bit-identical to the hot path
-    /// for the same RNG state (the sampler proptests pin the sampling leg,
-    /// the crypto batch tests pin the hashing leg).
-    fn harvest_reference(&mut self) {
-        self.fresh_bits += self.sampler.metastable_bits() as u64;
-        let raw = sample_reference(&self.probs, &mut self.rng);
-        let bytes = raw.to_bytes();
-        for chunk in bytes.chunks(64) {
-            self.buffer.extend(&Sha256::digest(chunk));
+    /// The frozen scalar twin of [`RowSource::harvest`]: a per-bit
+    /// threshold walk, packed to bytes and cut into 64-byte blocks.
+    fn harvest_reference(&mut self, messages: &mut RawMessages) -> u64 {
+        let row = sample_bitsliced_reference(&self.probs, &mut self.noise);
+        for block in row.to_bytes().chunks(BLOCK_BITS / 8) {
+            messages.push(block);
         }
-    }
-
-    fn fill(&mut self, out: &mut [u8], reference: bool) {
-        let mut filled = 0;
-        while filled < out.len() {
-            if self.buffer.is_empty() {
-                if reference {
-                    self.harvest_reference();
-                } else {
-                    self.harvest();
-                }
-            }
-            let take = self.buffer.len().min(out.len() - filled);
-            for (slot, byte) in out[filled..filled + take]
-                .iter_mut()
-                .zip(self.buffer.drain(..take))
-            {
-                *slot = byte;
-            }
-            filled += take;
-        }
-        if let Some(fault) = &self.fault {
-            fault.corrupt(self.delivered, out);
-        }
-        self.delivered += out.len() as u64;
-    }
-
-    /// The requalification restart: drop buffered output from the old
-    /// configuration and clear transient faults, like
-    /// `QuacTrng::recharacterize`. The noise stream continues (the new
-    /// epoch is a fresh, still-deterministic stream).
-    fn restart(&mut self) {
-        self.buffer.clear();
-        if self.fault.is_some_and(|f| f.cleared_on_recharacterize) {
-            self.fault = None;
-        }
+        self.sampler.metastable_bits() as u64
     }
 }
 
@@ -204,7 +148,8 @@ fn metastable_count(probs: &[f64]) -> usize {
 /// QUAC — the latency-sensitive tier of the entropy mesh.
 #[derive(Debug)]
 pub struct DRangeTrng {
-    stream: SampledStream,
+    source: RowSource,
+    stream: ConditionedStream,
     class: BackendClass,
 }
 
@@ -229,7 +174,8 @@ impl DRangeTrng {
         let rate = TransferRate::ddr4_2400();
         let analytic = DRange::enhanced_from_characterisation(failures, geom);
         DRangeTrng {
-            stream: SampledStream::new(probs, seed),
+            source: RowSource::new(probs, seed),
+            stream: ConditionedStream::new(),
             class: BackendClass {
                 kind: BackendKind::DRange,
                 throughput_gbps: analytic.throughput_gbps_per_channel(rate),
@@ -241,13 +187,14 @@ impl DRangeTrng {
     /// Fills `out` with the next bytes of the deterministic stream (the
     /// word-parallel hot path), applying any injected fault.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        self.stream.fill(out, false);
+        self.stream.fill(out, |messages, _| self.source.harvest(messages));
     }
 
     /// The frozen scalar twin of [`DRangeTrng::fill_bytes`] — same stream,
     /// bit for bit, for the same construction.
     pub fn fill_bytes_reference(&mut self, out: &mut [u8]) {
-        self.stream.fill(out, true);
+        self.stream
+            .fill_reference(out, |messages, _| self.source.harvest_reference(messages));
     }
 
     /// Convenience wrapper: the next `count` stream bytes.
@@ -271,24 +218,12 @@ impl EntropyBackend for DRangeTrng {
         self.class
     }
 
-    fn inject_fault(&mut self, fault: FaultInjector) {
-        self.stream.fault = Some(fault);
+    fn stream(&self) -> &ConditionedStream {
+        &self.stream
     }
 
-    fn clear_fault(&mut self) {
-        self.stream.fault = None;
-    }
-
-    fn delivered_bytes(&self) -> u64 {
-        self.stream.delivered
-    }
-
-    fn fresh_bits_drawn(&self) -> u64 {
-        self.stream.fresh_bits
-    }
-
-    fn buffered_bytes(&self) -> usize {
-        self.stream.buffer.len()
+    fn stream_mut(&mut self) -> &mut ConditionedStream {
+        &mut self.stream
     }
 }
 
@@ -299,7 +234,8 @@ impl EntropyBackend for DRangeTrng {
 /// the entropy mesh.
 #[derive(Debug)]
 pub struct RetentionTrng {
-    stream: SampledStream,
+    source: RowSource,
+    stream: ConditionedStream,
     class: BackendClass,
     /// The simulated refresh pause per burst, in seconds (chosen at the
     /// median cell retention time so the failure pattern is maximally
@@ -351,7 +287,8 @@ impl RetentionTrng {
         let rate = TransferRate::ddr4_2400();
         let analytic = Talukder::enhanced_default();
         RetentionTrng {
-            stream: SampledStream::new(probs, seed),
+            source: RowSource::new(probs, seed),
+            stream: ConditionedStream::new(),
             class: BackendClass {
                 kind: BackendKind::Retention,
                 throughput_gbps: analytic.throughput_gbps_per_channel(rate),
@@ -369,13 +306,14 @@ impl RetentionTrng {
     /// Fills `out` with the next bytes of the deterministic stream (the
     /// word-parallel hot path), applying any injected fault.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        self.stream.fill(out, false);
+        self.stream.fill(out, |messages, _| self.source.harvest(messages));
     }
 
     /// The frozen scalar twin of [`RetentionTrng::fill_bytes`] — same
     /// stream, bit for bit, for the same construction.
     pub fn fill_bytes_reference(&mut self, out: &mut [u8]) {
-        self.stream.fill(out, true);
+        self.stream
+            .fill_reference(out, |messages, _| self.source.harvest_reference(messages));
     }
 
     /// Convenience wrapper: the next `count` stream bytes.
@@ -399,24 +337,12 @@ impl EntropyBackend for RetentionTrng {
         self.class
     }
 
-    fn inject_fault(&mut self, fault: FaultInjector) {
-        self.stream.fault = Some(fault);
+    fn stream(&self) -> &ConditionedStream {
+        &self.stream
     }
 
-    fn clear_fault(&mut self) {
-        self.stream.fault = None;
-    }
-
-    fn delivered_bytes(&self) -> u64 {
-        self.stream.delivered
-    }
-
-    fn fresh_bits_drawn(&self) -> u64 {
-        self.stream.fresh_bits
-    }
-
-    fn buffered_bytes(&self) -> usize {
-        self.stream.buffer.len()
+    fn stream_mut(&mut self) -> &mut ConditionedStream {
+        &mut self.stream
     }
 }
 
@@ -424,7 +350,9 @@ impl EntropyBackend for RetentionTrng {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use qt_dram_analog::ModuleVariation;
+    use qt_dram_analog::{ModuleVariation, OperatingConditions, QuacAnalogModel};
+    use quac_trng::fault::FaultInjector;
+    use quac_trng::pipeline::QuacTrng;
 
     fn tiny_failures() -> (FailureModel, DramGeometry) {
         let geom = DramGeometry::tiny_test();
@@ -457,7 +385,7 @@ mod tests {
                 .collect()
         };
         let best = candidate_rows(geom)
-            .max_by_key(|&row| PackedSampler::new(&row_probs(row)).metastable_bits())
+            .max_by_key(|&row| BitSlicedSampler::new(&row_probs(row)).metastable_bits())
             .expect("at least one candidate row");
         row_probs(best)
     }
@@ -478,7 +406,7 @@ mod tests {
                 .collect()
         };
         let mut rows: Vec<usize> = candidate_rows(geom).collect();
-        rows.sort_by_key(|&row| std::cmp::Reverse(PackedSampler::new(&row_probs(row)).metastable_bits()));
+        rows.sort_by_key(|&row| std::cmp::Reverse(BitSlicedSampler::new(&row_probs(row)).metastable_bits()));
         rows.truncate(RETENTION_BURST_ROWS.max(1));
         rows.sort_unstable();
         rows.iter().flat_map(|&row| row_probs(row)).collect()
@@ -490,7 +418,7 @@ mod tests {
             for seed in [5, 8, 21] {
                 let failures = FailureModel::new(ModuleVariation::generate(&geom, seed));
                 let d = DRangeTrng::new(&failures, &geom, 1);
-                assert_eq!(bits(&d.stream.probs), bits(&drange_probs_reference(&failures, &geom)));
+                assert_eq!(bits(&d.source.probs), bits(&drange_probs_reference(&failures, &geom)));
             }
         }
     }
@@ -502,7 +430,7 @@ mod tests {
                 let retention = RetentionModel::new(ModuleVariation::generate(&geom, seed));
                 let r = RetentionTrng::new(&retention, &geom, 1);
                 let reference = retention_probs_reference(&retention, &geom, r.pause_s());
-                assert_eq!(bits(&r.stream.probs), bits(&reference));
+                assert_eq!(bits(&r.source.probs), bits(&reference));
             }
         }
     }
@@ -518,7 +446,7 @@ mod tests {
             b.fill_bytes(chunk);
         }
         assert_eq!(one, many);
-        assert_eq!(EntropyBackend::delivered_bytes(&a), 1024);
+        assert_eq!(a.stream().delivered_bytes(), 1024);
         let mut c = DRangeTrng::new(&failures, &geom, 78);
         assert_ne!(one, c.generate_bytes(1024), "seeds decorrelate streams");
     }
@@ -535,7 +463,7 @@ mod tests {
         // tiny geometry, so 4096 delivered bytes drain exactly 4 bursts.
         let burst = RETENTION_BURST_ROWS * geom.row_bits / 16;
         assert_eq!(4096 % burst, 0);
-        assert_eq!(a.stream.buffer.len(), 0);
+        assert_eq!(a.stream.buffered_bytes(), 0);
     }
 
     #[test]
@@ -555,8 +483,8 @@ mod tests {
         let (failures, geom) = tiny_failures();
         let mut a = DRangeTrng::new(&failures, &geom, 3);
         let mut b = DRangeTrng::new(&failures, &geom, 3);
-        EntropyBackend::inject_fault(&mut a, FaultInjector::stuck_at(0, true));
-        EntropyBackend::inject_fault(&mut b, FaultInjector::stuck_at(0, true));
+        a.stream_mut().inject_fault(FaultInjector::stuck_at(0, true));
+        b.stream_mut().inject_fault(FaultInjector::stuck_at(0, true));
         let one = a.generate_bytes(512);
         let mut many = vec![0u8; 512];
         for chunk in many.chunks_mut(37) {
@@ -564,9 +492,154 @@ mod tests {
         }
         assert_eq!(one, many);
         assert!(one.iter().all(|byte| byte & 1 == 1));
-        EntropyBackend::inject_fault(&mut a, FaultInjector::stuck_at(0, true).transient());
+        a.stream_mut().inject_fault(FaultInjector::stuck_at(0, true).transient());
         EntropyBackend::recharacterize(&mut a, &CharacterizationConfig::fast());
         assert!(a.generate_bytes(512).iter().any(|byte| byte & 1 == 0));
+    }
+
+    fn tiny_cfg() -> CharacterizationConfig {
+        CharacterizationConfig {
+            segment_stride: 1,
+            bitline_stride: 1,
+            conditions: OperatingConditions::nominal(),
+        }
+    }
+
+    fn tiny_quac(seed: u64) -> QuacTrng {
+        let geom = DramGeometry::tiny_test();
+        let model = QuacAnalogModel::new(geom, ModuleVariation::generate(&geom, 8));
+        QuacTrng::from_model(model, tiny_cfg(), seed)
+    }
+
+    fn tiny_drange(seed: u64) -> DRangeTrng {
+        let (failures, geom) = tiny_failures();
+        DRangeTrng::new(&failures, &geom, seed)
+    }
+
+    fn tiny_retention_trng(seed: u64) -> RetentionTrng {
+        let (retention, geom) = tiny_retention();
+        RetentionTrng::new(&retention, &geom, seed)
+    }
+
+    /// Fresh bits and conditioned bytes of one row-source harvest.
+    fn per_harvest(source: &RowSource) -> (u64, u64) {
+        let blocks = source.probs.len().div_ceil(BLOCK_BITS);
+        (source.sampler.metastable_bits() as u64, (blocks * 32) as u64)
+    }
+
+    /// One row of the backend contract table.
+    struct Contract {
+        name: &'static str,
+        /// A fresh backend drawing noise from the given seed.
+        build: fn(u64) -> Box<dyn EntropyBackend>,
+        /// The first `len` bytes of a fresh backend's stream through its
+        /// scalar reference twin.
+        reference: fn(u64, usize) -> Vec<u8>,
+        /// `(fresh bits, conditioned bytes)` per harvest, where a harvest
+        /// has a fixed size.
+        harvest: Option<fn() -> (u64, u64)>,
+    }
+
+    /// Reads `cuts.iter().sum()` bytes in reads of the given sizes.
+    fn read(backend: &mut dyn EntropyBackend, cuts: &[usize]) -> Vec<u8> {
+        let mut out = vec![0u8; cuts.iter().sum()];
+        let mut at = 0;
+        for &cut in cuts {
+            backend.fill_bytes(&mut out[at..at + cut]);
+            at += cut;
+        }
+        out
+    }
+
+    #[test]
+    fn backend_contract_holds_for_every_backend() {
+        const LEN: usize = 3000;
+        const CUTS: &[usize] = &[1, 7, 32, 100, 3, 257, 64, 1000, 31, 1505];
+        let contracts = [
+            Contract {
+                name: "quac",
+                build: |seed| Box::new(tiny_quac(seed)),
+                reference: |seed, len| {
+                    let mut out = vec![0u8; len];
+                    tiny_quac(seed).fill_bytes_reference(&mut out);
+                    out
+                },
+                harvest: None,
+            },
+            Contract {
+                name: "drange",
+                build: |seed| Box::new(tiny_drange(seed)),
+                reference: |seed, len| {
+                    let mut out = vec![0u8; len];
+                    tiny_drange(seed).fill_bytes_reference(&mut out);
+                    out
+                },
+                harvest: Some(|| per_harvest(&tiny_drange(0).source)),
+            },
+            Contract {
+                name: "retention",
+                build: |seed| Box::new(tiny_retention_trng(seed)),
+                reference: |seed, len| {
+                    let mut out = vec![0u8; len];
+                    tiny_retention_trng(seed).fill_bytes_reference(&mut out);
+                    out
+                },
+                harvest: Some(|| per_harvest(&tiny_retention_trng(0).source)),
+            },
+        ];
+        for c in contracts {
+            let name = c.name;
+            // One stream, however reads slice it, and equal to the twin's.
+            let whole = read(&mut *(c.build)(3), &[LEN]);
+            let mut sliced = (c.build)(3);
+            assert_eq!(read(&mut *sliced, CUTS), whole, "{name}: slicing");
+            assert_eq!(sliced.stream().delivered_bytes(), LEN as u64, "{name}: offset");
+            assert_eq!((c.reference)(3, LEN), whole, "{name}: hot vs reference");
+            assert_ne!(read(&mut *(c.build)(4), &[LEN]), whole, "{name}: seeds");
+
+            // The fault seam corrupts delivery by absolute offset only.
+            let faulted = |cuts: &[usize]| {
+                let mut backend = (c.build)(3);
+                backend.stream_mut().inject_fault(FaultInjector::burst(100, 30));
+                read(&mut *backend, cuts)
+            };
+            let corrupted = faulted(&[LEN]);
+            assert_eq!(faulted(CUTS), corrupted, "{name}: fault slicing");
+            for (i, (&bad, &good)) in corrupted.iter().zip(&whole).enumerate() {
+                assert_eq!(bad, if i % 100 < 30 { 0 } else { good }, "{name}: byte {i}");
+            }
+
+            // Recharacterisation restarts the stream: buffered bytes go, a
+            // transient fault clears, a persistent one stays, and the
+            // fresh-bit counter never rewinds.
+            let mut b = (c.build)(5);
+            b.stream_mut().inject_fault(FaultInjector::stuck_at(0, true).transient());
+            assert_eq!(read(&mut *b, &[1])[0] & 1, 1, "{name}: stuck bit");
+            assert!(b.stream().buffered_bytes() > 0, "{name}: partial read buffers");
+            let drawn = b.stream().fresh_bits_drawn();
+            assert!(drawn > 0, "{name}: a harvest draws fresh bits");
+            b.recharacterize(&tiny_cfg());
+            assert_eq!(b.stream().buffered_bytes(), 0, "{name}: restart drops the buffer");
+            assert!(b.stream().fault().is_none(), "{name}: transient fault clears");
+            assert_eq!(b.stream().fresh_bits_drawn(), drawn, "{name}: no rewind");
+            assert!(read(&mut *b, &[512]).iter().any(|byte| byte & 1 == 0));
+            assert!(b.stream().fresh_bits_drawn() > drawn, "{name}: monotone");
+            b.stream_mut().inject_fault(FaultInjector::stuck_at(0, true));
+            b.recharacterize(&tiny_cfg());
+            assert!(b.stream().fault().is_some(), "{name}: persistent fault stays");
+            assert!(read(&mut *b, &[512]).iter().all(|byte| byte & 1 == 1));
+            assert_eq!(b.stream().delivered_bytes(), 1025, "{name}: offset");
+
+            // The ledger counts metastable bits once per harvest.
+            if let Some(per_harvest) = c.harvest {
+                let (bits, bytes) = per_harvest();
+                let mut b = (c.build)(6);
+                read(&mut *b, &[LEN]);
+                let conditioned = b.stream().delivered_bytes() + b.stream().buffered_bytes() as u64;
+                assert_eq!(conditioned % bytes, 0, "{name}: whole harvests");
+                assert_eq!(b.stream().fresh_bits_drawn(), bits * (conditioned / bytes), "{name}");
+            }
+        }
     }
 
     proptest! {

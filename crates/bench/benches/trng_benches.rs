@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the performance-critical software paths:
-//! SHA-256 and Von Neumann post-processing, word-packed QUAC sampling, one
+//! SHA-256 and Von Neumann post-processing, bit-sliced QUAC sampling, one
 //! full QUAC-TRNG iteration, sustained byte generation, the analog entropy
 //! model (serial and thread-sharded characterisation), the NIST test
 //! battery, and the cycle-level memory system.
@@ -10,8 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qt_crypto::{digest_many_into, Sha256, VonNeumannCorrector, BATCH_LANES};
 use qt_dram_analog::{
-    BitSlicedSampler, ModuleVariation, NoiseRng, OperatingConditions, PackedSampler,
-    QuacAnalogModel,
+    BitSlicedSampler, ModuleVariation, NoiseRng, OperatingConditions, QuacAnalogModel,
 };
 use qt_dram_core::{BitVec, DataPattern, DramGeometry, Segment};
 use qt_memctrl::system::{MemorySystem, MemorySystemConfig};
@@ -21,6 +20,7 @@ use quac_trng::characterize::{
     characterize_module_serial, characterize_module_with_threads, CharacterizationConfig,
 };
 use quac_trng::pipeline::QuacTrng;
+use quac_trng::EntropyBackend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,7 +81,7 @@ fn bench_vnc(c: &mut Criterion) {
         });
 }
 
-fn bench_packed_sampling(c: &mut Criterion) {
+fn bench_sampling(c: &mut Criterion) {
     // A full-size 64 Ki-bitline row of a paper module's best pattern: the
     // per-QUAC sampling work of the steady-state loop in isolation.
     let geom = DramGeometry::ddr4_4gb_x8_module();
@@ -91,15 +91,8 @@ fn bench_packed_sampling(c: &mut Criterion) {
         DataPattern::best_average(),
         OperatingConditions::nominal(),
     );
-    let sampler = PackedSampler::new(&probs);
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut out = BitVec::zeros(probs.len());
-    c.throughput_bits(probs.len() as u64)
-        .bench_function("packed_sampling_64k_row", |b| {
-            b.iter(|| sampler.sample_into(std::hint::black_box(&mut out), &mut rng))
-        });
-    // The production bit-sliced path on the same row: bulk-drawn plane words
-    // and a compact (metastable-only) result, no per-bit RNG draws.
+    // Bulk-drawn plane words and a compact (metastable-only) result, no
+    // per-bit RNG draws.
     let bitsliced = BitSlicedSampler::new(&probs);
     let mut noise = NoiseRng::new(7);
     let mut compact = BitVec::zeros(bitsliced.metastable_bits());
@@ -365,7 +358,7 @@ fn bench_rng_service_drift(c: &mut Criterion) {
     ] {
         let mut shards = QuacTrng::shards(&model, &ch, 17, SHARDS);
         if let Some(fault) = fault {
-            shards[1].inject_fault(fault);
+            shards[1].stream_mut().inject_fault(fault);
         }
         let service = RngService::start(
             shards,
@@ -583,7 +576,7 @@ fn bench_memory_system(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sha256, bench_vnc, bench_packed_sampling, bench_bitvec_extract,
+    targets = bench_sha256, bench_vnc, bench_sampling, bench_bitvec_extract,
               bench_quac_iteration, bench_generate_bytes, bench_rng_service,
               bench_rng_service_validation, bench_rng_service_drift,
               bench_rng_service_export, bench_rng_service_facade,

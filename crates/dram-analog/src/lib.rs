@@ -63,5 +63,5 @@ pub use model::{QuacAnalogModel, SegmentProber};
 pub use noise::NoiseRng;
 pub use params::AnalogParams;
 pub use profiles::{ModuleProfile, TemperatureTrend, PAPER_MODULES};
-pub use sampler::{BitSlicedSampler, BitThreshold, PackedSampler};
+pub use sampler::{BitSlicedSampler, BitThreshold};
 pub use variation::{ModuleVariation, OffsetProber};

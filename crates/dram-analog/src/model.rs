@@ -1,11 +1,11 @@
 //! The QUAC metastability model: per-bitline probabilities, entropies, and
-//! sampled QUAC outcomes for one DRAM module.
+//! sampled entropy estimates for one DRAM module.
 
 use crate::conditions::OperatingConditions;
 use crate::math::{entropy_of_normal_bias, std_normal_cdf};
-use crate::sampler::{BitSlicedSampler, BitThreshold, PackedSampler};
+use crate::sampler::BitThreshold;
 use crate::variation::ModuleVariation;
-use qt_dram_core::{BitVec, DataPattern, DramGeometry, Segment, SubarrayAddr, CACHE_BLOCK_BITS};
+use qt_dram_core::{DataPattern, DramGeometry, Segment, SubarrayAddr, CACHE_BLOCK_BITS};
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -49,7 +49,7 @@ fn offset_cache_cap() -> usize {
 /// bitstreams, characterisation maps) derives from that probability.
 ///
 /// All probability and entropy queries funnel through [`SegmentProber`], the
-/// single canonical computation, so word-packed sampling, strided entropy
+/// single canonical computation, so bit-sliced sampling, strided entropy
 /// sweeps, and one-off queries can never disagree on the physics.
 #[derive(Debug, Clone)]
 pub struct QuacAnalogModel {
@@ -346,63 +346,6 @@ impl QuacAnalogModel {
             .prober(segment, pattern, conditions)
             .entropy_sum_strided(start, start + per_chip, bitline_stride);
         sum * per_chip as f64 / count as f64
-    }
-
-    /// Builds a word-packed sampler for the whole row of a segment: the
-    /// steady-state generation path of [`PackedSampler`] with this model's
-    /// probabilities baked in.
-    pub fn packed_sampler(
-        &self,
-        segment: Segment,
-        pattern: DataPattern,
-        conditions: OperatingConditions,
-    ) -> PackedSampler {
-        PackedSampler::new(&self.bitline_probabilities(segment, pattern, conditions))
-    }
-
-    /// Samples the outcome of one QUAC operation across the whole row: each
-    /// bitline independently resolves to 1 with its modelled probability
-    /// (thermal noise is the only per-trial randomness, footnote 2).
-    pub fn sample_quac<R: Rng + ?Sized>(
-        &self,
-        segment: Segment,
-        pattern: DataPattern,
-        conditions: OperatingConditions,
-        rng: &mut R,
-    ) -> BitVec {
-        self.packed_sampler(segment, pattern, conditions).sample(rng)
-    }
-
-    /// Samples a QUAC outcome from precomputed per-bitline probabilities —
-    /// the scalar reference path, bit-identical to [`PackedSampler`] for the
-    /// same seed (each metastable bitline consumes one `u64` noise word in
-    /// bitline order; near-deterministic bitlines draw nothing).
-    pub fn sample_from_probabilities<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> BitVec {
-        crate::sampler::sample_reference(probs, rng)
-    }
-
-    /// Builds a bit-sliced bulk-drawn sampler for the whole row of a
-    /// segment: the steady-state hot path of [`BitSlicedSampler`] with this
-    /// model's probabilities baked in.
-    pub fn bitsliced_sampler(
-        &self,
-        segment: Segment,
-        pattern: DataPattern,
-        conditions: OperatingConditions,
-    ) -> BitSlicedSampler {
-        BitSlicedSampler::new(&self.bitline_probabilities(segment, pattern, conditions))
-    }
-
-    /// Samples a QUAC outcome from precomputed per-bitline probabilities
-    /// under the bulk-drawn bit-sliced scheme — the scalar reference path,
-    /// bit-identical to [`BitSlicedSampler`] for the same noise stream (see
-    /// [`crate::sampler::sample_bitsliced_reference`] for the noise-word
-    /// consumption contract).
-    pub fn sample_from_probabilities_bitsliced<R: Rng + ?Sized>(
-        probs: &[f64],
-        rng: &mut R,
-    ) -> BitVec {
-        crate::sampler::sample_bitsliced_reference(probs, rng)
     }
 
     /// Estimates a bitline's entropy the way the paper does (Section 6.1.2):
@@ -729,22 +672,6 @@ mod tests {
         let sampled =
             m.estimate_bitline_entropy_sampled(seg, best_bitline, pattern, nominal(), 1000, &mut rng);
         assert!((analytic - sampled).abs() < 0.15, "analytic {analytic} sampled {sampled}");
-    }
-
-    #[test]
-    fn sampling_respects_probabilities() {
-        let probs = vec![0.0, 1.0, 0.5, 0.5];
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut ones = [0u32; 4];
-        for _ in 0..2000 {
-            let s = QuacAnalogModel::sample_from_probabilities(&probs, &mut rng);
-            for (i, one) in ones.iter_mut().enumerate() {
-                *one += s.get(i) as u32;
-            }
-        }
-        assert_eq!(ones[0], 0);
-        assert_eq!(ones[1], 2000);
-        assert!((ones[2] as f64 / 2000.0 - 0.5).abs() < 0.05);
     }
 
     #[test]

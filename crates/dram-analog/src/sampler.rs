@@ -1,4 +1,4 @@
-//! Word-packed and bit-sliced sampling of QUAC outcomes.
+//! Bit-sliced sampling of QUAC outcomes.
 //!
 //! The steady-state TRNG loop samples every sense amplifier of the chosen
 //! segment once per QUAC operation. Doing that with one `f64` RNG draw and a
@@ -7,32 +7,22 @@
 //! *quantised threshold* per bitline:
 //!
 //! * each probability `p` is quantised to `t = round(p · 2⁶⁴)`, and a bit
-//!   resolves to 1 iff a fresh uniform 64-bit noise value is below `t`;
+//!   resolves to 1 with probability exactly `t / 2⁶⁴`;
 //! * bitlines whose probability quantises to exactly 0 or 1 are
 //!   *deterministic* — they draw no noise at all and are prefilled into
 //!   packed base words;
 //! * only the remaining *metastable* bitlines cost anything per iteration.
 //!
-//! Two samplers share that quantisation:
-//!
-//! * [`PackedSampler`] draws one full noise word per metastable bitline and
-//!   compares it against the 64-bit threshold directly. It is the original
-//!   scheme, kept frozen together with its scalar twin
-//!   [`sample_reference`] — the readable specification and property-test
-//!   oracle it is pinned bit-identical to.
-//! * [`BitSlicedSampler`] is the bulk-drawn hot path: metastable bitlines
-//!   become *lanes* of 64-wide comparison blocks, and each block consumes
-//!   just eight noise words (one per bit-plane of the threshold's top byte)
-//!   for all 64 lanes. A lane whose noise byte *equals* its threshold byte
-//!   (probability 2⁻⁸) escalates to one full-resolution draw, so the
-//!   resolve-to-1 probability stays exactly `t / 2⁶⁴` — the same
-//!   distribution as [`PackedSampler`] at an eighth of the noise and with
-//!   word-parallel comparisons. Its scalar twin is
-//!   [`sample_bitsliced_reference`], pinned bit-identical by proptest.
-//!
-//! The two schemes draw different noise-word sequences, so their streams
-//! differ for the same seed; both resolve every bitline to 1 with exactly
-//! the quantised probability.
+//! [`BitSlicedSampler`] is the one row sampler, shared by the QUAC pipeline
+//! and the D-RaNGe and retention baselines. Metastable bitlines become
+//! *lanes* of 64-wide comparison blocks, and each block consumes just eight
+//! noise words (one per bit-plane of the threshold's top byte) for all 64
+//! lanes. A lane whose noise byte *equals* its threshold byte (probability
+//! 2⁻⁸) escalates to one full-resolution draw, so the resolve-to-1
+//! probability stays exactly `t / 2⁶⁴` at about an eighth of a noise word
+//! per bitline and with word-parallel comparisons. Its scalar twin,
+//! [`sample_bitsliced_reference`], is the readable specification and the
+//! property-test oracle it is pinned bit-identical to.
 
 use qt_dram_core::BitVec;
 use rand::RngCore;
@@ -89,100 +79,6 @@ impl BitThreshold {
     pub fn is_deterministic(self) -> bool {
         !matches!(self, BitThreshold::Metastable(_))
     }
-}
-
-/// One metastable bitline in packed form.
-#[derive(Debug, Clone, Copy)]
-struct ActiveBit {
-    /// Index of the storage word holding the bit.
-    word: u32,
-    /// Bit position within the word.
-    shift: u32,
-    /// Resolve-to-1 threshold against a uniform `u64`.
-    threshold: u64,
-}
-
-/// Precomputed word-packed sampler for one row of sense amplifiers.
-#[derive(Debug, Clone)]
-pub struct PackedSampler {
-    len: usize,
-    /// Prefilled storage words holding every deterministic logic-1 bitline.
-    base: Vec<u64>,
-    /// Metastable bitlines in ascending bitline order (the RNG consumption
-    /// order shared with [`sample_reference`]).
-    active: Vec<ActiveBit>,
-}
-
-impl PackedSampler {
-    /// Builds a sampler from per-bitline one-probabilities.
-    pub fn new(probs: &[f64]) -> Self {
-        let len = probs.len();
-        let mut base = vec![0u64; len.div_ceil(64)];
-        let mut active = Vec::new();
-        for (i, &p) in probs.iter().enumerate() {
-            match BitThreshold::quantize(p) {
-                BitThreshold::AlwaysZero => {}
-                BitThreshold::AlwaysOne => base[i / 64] |= 1u64 << (i % 64),
-                BitThreshold::Metastable(threshold) => active.push(ActiveBit {
-                    word: (i / 64) as u32,
-                    shift: (i % 64) as u32,
-                    threshold,
-                }),
-            }
-        }
-        PackedSampler { len, base, active }
-    }
-
-    /// Number of bitlines.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the sampler covers zero bitlines.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of metastable bitlines (one RNG word is drawn per metastable
-    /// bitline per sample).
-    pub fn metastable_bits(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Samples one QUAC outcome into `out`, reusing its storage words
-    /// (resizing it only if the length differs).
-    pub fn sample_into<R: RngCore + ?Sized>(&self, out: &mut BitVec, rng: &mut R) {
-        if out.len() != self.len {
-            *out = BitVec::zeros(self.len);
-        }
-        let words = out.words_mut();
-        words.copy_from_slice(&self.base);
-        for bit in &self.active {
-            // Branchless resolve: OR the comparison result into place.
-            words[bit.word as usize] |= u64::from(rng.next_u64() < bit.threshold) << bit.shift;
-        }
-        // `base` is built from `len` bits, so the tail is already clear.
-    }
-
-    /// Samples one QUAC outcome into a fresh bit vector.
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> BitVec {
-        let mut out = BitVec::zeros(self.len);
-        self.sample_into(&mut out, rng);
-        out
-    }
-}
-
-/// Scalar reference sampler: quantises and samples one bitline at a time in
-/// ascending order. Bit-identical to [`PackedSampler`] for the same RNG seed;
-/// kept as the readable specification and the property-test oracle.
-pub fn sample_reference<R: RngCore + ?Sized>(probs: &[f64], rng: &mut R) -> BitVec {
-    let mut out = BitVec::zeros(probs.len());
-    for (i, &p) in probs.iter().enumerate() {
-        if BitThreshold::quantize(p).sample(rng) {
-            out.set(i, true);
-        }
-    }
-    out
 }
 
 /// Bulk-drawn bit-sliced sampler: the steady-state hot path.
@@ -422,22 +318,9 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_bits_draw_no_rng_words() {
-        let probs = [0.0, 1.0, 0.0, 1.0];
-        let sampler = PackedSampler::new(&probs);
-        assert_eq!(sampler.metastable_bits(), 0);
-        let mut rng_a = StdRng::seed_from_u64(1);
-        let a = sampler.sample(&mut rng_a);
-        assert!(!a.get(0) && a.get(1) && !a.get(2) && a.get(3));
-        // The RNG was never touched: its next draw matches a fresh one.
-        let mut rng_b = StdRng::seed_from_u64(1);
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-    }
-
-    #[test]
     fn sample_into_reuses_storage_and_matches_sample() {
         let probs: Vec<f64> = (0..200).map(|i| (i as f64) / 199.0).collect();
-        let sampler = PackedSampler::new(&probs);
+        let sampler = BitSlicedSampler::new(&probs);
         let mut rng_a = StdRng::seed_from_u64(9);
         let mut rng_b = StdRng::seed_from_u64(9);
         let fresh = sampler.sample(&mut rng_a);
@@ -447,24 +330,6 @@ mod tests {
         // Second use keeps the same allocation and stays consistent.
         sampler.sample_into(&mut reused, &mut rng_b);
         assert_eq!(reused.len(), 200);
-    }
-
-    #[test]
-    fn frequencies_respect_probabilities() {
-        let probs = [0.0, 1.0, 0.5, 0.1];
-        let sampler = PackedSampler::new(&probs);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut ones = [0u32; 4];
-        for _ in 0..4000 {
-            let s = sampler.sample(&mut rng);
-            for (i, one) in ones.iter_mut().enumerate() {
-                *one += s.get(i) as u32;
-            }
-        }
-        assert_eq!(ones[0], 0);
-        assert_eq!(ones[1], 4000);
-        assert!((ones[2] as f64 / 4000.0 - 0.5).abs() < 0.03);
-        assert!((ones[3] as f64 / 4000.0 - 0.1).abs() < 0.03);
     }
 
     #[test]
@@ -569,27 +434,17 @@ mod tests {
             bits in proptest::collection::vec(any::<bool>(), 1..200),
             seed in any::<u64>(),
         ) {
+            // Deterministic rows come out as their base bits, from the
+            // sampler and from the scalar reference alike, over any word
+            // source.
             let probs: Vec<f64> = bits.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
             let sampler = BitSlicedSampler::new(&probs);
             prop_assert_eq!(sampler.metastable_bits(), 0);
             let mut rng = StdRng::seed_from_u64(seed);
             let out = sampler.sample(&mut rng);
-            prop_assert_eq!(out, BitVec::from_bits(bits));
-        }
-
-        #[test]
-        fn prop_packed_is_bit_identical_to_scalar_reference(
-            probs in proptest::collection::vec(0.0f64..=1.0, 0..300),
-            seed in any::<u64>(),
-        ) {
-            let sampler = PackedSampler::new(&probs);
-            let mut packed_rng = StdRng::seed_from_u64(seed);
             let mut scalar_rng = StdRng::seed_from_u64(seed);
-            let packed = sampler.sample(&mut packed_rng);
-            let scalar = sample_reference(&probs, &mut scalar_rng);
-            prop_assert_eq!(packed, scalar);
-            // Both consumed the same number of RNG words.
-            prop_assert_eq!(packed_rng.next_u64(), scalar_rng.next_u64());
+            prop_assert_eq!(&sample_bitsliced_reference(&probs, &mut scalar_rng), &out);
+            prop_assert_eq!(out, BitVec::from_bits(bits));
         }
 
         #[test]
@@ -598,10 +453,11 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let probs: Vec<f64> = bits.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
-            let sampler = PackedSampler::new(&probs);
+            let sampler = BitSlicedSampler::new(&probs);
             prop_assert_eq!(sampler.metastable_bits(), 0);
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = crate::NoiseRng::new(seed);
             let out = sampler.sample(&mut rng);
+            prop_assert_eq!(rng.words_drawn(), 0);
             prop_assert_eq!(out, BitVec::from_bits(bits));
         }
     }

@@ -11,15 +11,19 @@
 //! onto another backend still receives bytes from *that* backend's one
 //! deterministic stream.
 //!
-//! Every backend also exposes the QuacTrng fault seam
-//! ([`EntropyBackend::inject_fault`]): a [`FaultInjector`] corrupts
-//! delivered bytes as a pure function of the absolute delivered offset, so
-//! the chaos campaigns drive heterogeneous meshes with the same drift and
-//! burst excursions they drive the QUAC tier with.
+//! A backend is a raw source plus one shared [`ConditionedStream`], which
+//! owns conditioning, the output buffer, the fault seam, the delivered
+//! offset and the fresh-bit counter. The trait exposes that stream instead
+//! of forwarding each piece: the service's ledger reads
+//! [`fresh_bits_drawn`](ConditionedStream::fresh_bits_drawn) and
+//! [`buffered_bytes`](ConditionedStream::buffered_bytes) off
+//! [`stream`](EntropyBackend::stream), and the chaos campaigns inject a
+//! [`FaultInjector`](crate::fault::FaultInjector) through
+//! [`stream_mut`](EntropyBackend::stream_mut) into every tier alike.
 
 use crate::characterize::CharacterizationConfig;
-use crate::fault::FaultInjector;
 use crate::pipeline::QuacTrng;
+use crate::stream::ConditionedStream;
 
 /// Which physical mechanism a backend harvests entropy from. The service
 /// uses the kind for tier-aware placement (latency-sensitive → D-RaNGe,
@@ -73,39 +77,21 @@ pub trait EntropyBackend: Send + std::fmt::Debug {
     /// stream (applying any injected fault at the delivery boundary).
     fn fill_bytes(&mut self, out: &mut [u8]);
 
-    /// Re-runs the mechanism's characterisation/selection step and restarts
-    /// the output stream — the requalification path after a quarantine.
-    /// Clears transient injected faults, like
-    /// [`QuacTrng::recharacterize`].
+    /// Re-runs the mechanism's characterisation/selection step and
+    /// [restarts](ConditionedStream::restart) the output stream — the
+    /// requalification path after a quarantine: buffered bytes are dropped
+    /// and a transient injected fault is cleared.
     fn recharacterize(&mut self, cfg: &CharacterizationConfig);
 
     /// The backend's mechanism and advertised throughput/latency class.
     fn class(&self) -> BackendClass;
 
-    /// Installs a fault injector at the delivery seam (replacing any
-    /// previous one) — the chaos-testing hook shared by every backend.
-    fn inject_fault(&mut self, fault: FaultInjector);
+    /// The backend's conditioned output stream: buffer, fault seam,
+    /// delivered offset and fresh-bit counter.
+    fn stream(&self) -> &ConditionedStream;
 
-    /// Removes any injected fault.
-    fn clear_fault(&mut self);
-
-    /// Output bytes delivered so far through
-    /// [`fill_bytes`](EntropyBackend::fill_bytes).
-    fn delivered_bytes(&self) -> u64;
-
-    /// Raw fresh entropy bits drawn from the physical mechanism so far —
-    /// metastable cells sampled, before any conditioning — monotone over
-    /// the backend's whole life (recharacterisation restarts the output
-    /// stream but never rewinds this counter). The RNG service's per-shard
-    /// entropy ledger is built on the deltas of this counter.
-    fn fresh_bits_drawn(&self) -> u64;
-
-    /// Conditioned output bytes already generated (and accounted under
-    /// [`fresh_bits_drawn`](EntropyBackend::fresh_bits_drawn)) but not yet
-    /// delivered — the internal buffer a partial read leaves behind. Lets
-    /// the ledger attribute a draw across everything it conditions instead
-    /// of over-crediting the read that triggered it.
-    fn buffered_bytes(&self) -> usize;
+    /// Mutable access to the stream, e.g. to inject a fault.
+    fn stream_mut(&mut self) -> &mut ConditionedStream;
 }
 
 impl EntropyBackend for QuacTrng {
@@ -128,24 +114,12 @@ impl EntropyBackend for QuacTrng {
         }
     }
 
-    fn inject_fault(&mut self, fault: FaultInjector) {
-        QuacTrng::inject_fault(self, fault);
+    fn stream(&self) -> &ConditionedStream {
+        &self.stream
     }
 
-    fn clear_fault(&mut self) {
-        QuacTrng::clear_fault(self);
-    }
-
-    fn delivered_bytes(&self) -> u64 {
-        QuacTrng::delivered_bytes(self)
-    }
-
-    fn fresh_bits_drawn(&self) -> u64 {
-        QuacTrng::fresh_bits_drawn(self)
-    }
-
-    fn buffered_bytes(&self) -> usize {
-        QuacTrng::buffered_bytes(self)
+    fn stream_mut(&mut self) -> &mut ConditionedStream {
+        &mut self.stream
     }
 }
 
@@ -173,7 +147,7 @@ mod tests {
         EntropyBackend::fill_bytes(&mut a, &mut via_trait);
         let direct = b.generate_bytes(128);
         assert_eq!(via_trait, direct, "trait path shares the pipeline stream");
-        assert_eq!(EntropyBackend::delivered_bytes(&a), 128);
+        assert_eq!(a.stream().delivered_bytes(), 128);
         assert_eq!(a.class().kind, BackendKind::Quac);
         assert!(a.class().throughput_gbps > a.class().latency_256bit_ns / 1e6);
     }

@@ -18,9 +18,10 @@
 //! keeps the service's determinism contract testable even for faulty
 //! shards.
 //!
-//! Attach an injector with
-//! [`QuacTrng::inject_fault`](crate::pipeline::QuacTrng::inject_fault); a
-//! generator without one (the default) pays a single `Option` check per
+//! Attach an injector to any backend's shared output stream with
+//! [`ConditionedStream::inject_fault`](crate::stream::ConditionedStream::inject_fault)
+//! (through [`EntropyBackend::stream_mut`](crate::backend::EntropyBackend::stream_mut));
+//! a stream without one (the default) pays a single `Option` check per
 //! `fill_bytes` call.
 
 use qt_dram_analog::{TemperatureRamp, TemperatureTrend};
@@ -164,10 +165,10 @@ pub struct FaultInjector {
     /// [`FaultMode::Drift`] draw randomness; the other modes are
     /// offset-deterministic).
     pub seed: u64,
-    /// If `true`, [`recharacterize`](crate::pipeline::QuacTrng::recharacterize)
-    /// removes the injector — modelling a fault the
-    /// controller routes around by re-selecting the segment (the monthly
-    /// re-characterisation of Section 8). If `false`, the fault is
+    /// If `true`, a stream [restart](crate::stream::ConditionedStream::restart)
+    /// (every backend's `recharacterize`) removes the injector — modelling
+    /// a fault the controller routes around by re-selecting the segment
+    /// (the monthly re-characterisation of Section 8). If `false`, the fault is
     /// persistent and a quarantined shard can never requalify.
     pub cleared_on_recharacterize: bool,
 }

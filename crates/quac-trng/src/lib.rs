@@ -17,6 +17,9 @@
 //!   reserved segment with in-DRAM copies, QUAC it, read the sense
 //!   amplifiers, split them into 256-bit-entropy blocks, and post-process
 //!   with SHA-256 (or the Von Neumann corrector for raw streams).
+//! * [`stream`] — the [`ConditionedStream`] every backend delivers through:
+//!   batched SHA-256 conditioning, the output buffer, the fault seam, the
+//!   delivered offset and the fresh-bit counter, defined once.
 //! * [`throughput`] — the analytic throughput/latency models behind
 //!   Figures 11 and 13 and Table 2.
 //! * [`integration`] — the system-integration cost accounting of Section 9.
@@ -45,6 +48,7 @@ pub mod characterize;
 pub mod fault;
 pub mod integration;
 pub mod pipeline;
+pub mod stream;
 pub mod throughput;
 
 pub use backend::{BackendClass, BackendKind, EntropyBackend};
@@ -52,4 +56,5 @@ pub use cache::CharacterizationCache;
 pub use characterize::{CharacterizationConfig, ModuleCharacterization, PatternStats};
 pub use fault::{FaultInjector, FaultMode};
 pub use pipeline::QuacTrng;
+pub use stream::{ConditionedStream, RawMessages};
 pub use throughput::{ConfigurationThroughput, ThroughputModel};

@@ -4,16 +4,17 @@
 //! its 256-bit-entropy cache-block ranges, the steady-state loop is:
 //! initialise the segment from the reserved all-0/all-1 rows (in-DRAM copy),
 //! QUAC it, read the high-entropy blocks from the sense amplifiers, and hash
-//! each block with SHA-256 to emit 256 random bits.
+//! each block with SHA-256 to emit 256 random bits. Conditioning, buffering
+//! and delivery are the shared [`ConditionedStream`]'s; this module is the
+//! QUAC source that feeds it.
 
 use crate::characterize::{characterize_module, CharacterizationConfig, ModuleCharacterization};
-use crate::fault::FaultInjector;
-use qt_crypto::{digest_many_into, Sha256, Sha256Digest, VonNeumannCorrector};
+use crate::stream::{ConditionedStream, RawMessages};
+use qt_crypto::{Sha256, Sha256Digest, VonNeumannCorrector, DIGEST_BITS};
 use qt_dram_analog::{
     BitSlicedSampler, BitThreshold, ModuleProfile, NoiseRng, OperatingConditions, QuacAnalogModel,
 };
 use qt_dram_core::{BitVec, DataPattern, CACHE_BLOCK_BITS};
-use std::collections::VecDeque;
 
 /// Upper bound on QUAC iterations whose conditioning is batched through one
 /// multi-lane SHA-256 pass in [`QuacTrng::fill_bytes`]. Sixteen iterations
@@ -21,35 +22,83 @@ use std::collections::VecDeque;
 /// [`qt_crypto::BATCH_LANES`]-wide compression exactly once.
 const MAX_BATCH_ITERATIONS: usize = qt_crypto::BATCH_LANES;
 
-/// Appends the packed bits `[start, end)` of `src` to `out`, little-endian
-/// words then a masked tail — byte-for-byte the layout of
-/// [`BitVec::extract_bytes_into`], but appending so one arena can hold many
-/// messages.
-fn append_packed_bits(src: &BitVec, start: usize, end: usize, out: &mut Vec<u8>) {
-    debug_assert!(start <= end && end <= src.len());
-    let n = end - start;
-    for k in 0..n / 64 {
-        out.extend_from_slice(&src.word_at(start + 64 * k).to_le_bytes());
-    }
-    let rem = n % 64;
-    if rem > 0 {
-        let tail = src.word_at(start + 64 * (n / 64)) & ((1u64 << rem) - 1);
-        out.extend_from_slice(&tail.to_le_bytes()[..rem.div_ceil(8)]);
-    }
-}
-
 /// Projects full-row cache-block bit ranges onto the sampler's compact
 /// metastable-lane indices. Deterministic bitlines inside a range contribute
 /// a constant to every SHA input, so dropping them preserves the digest
 /// stream's entropy while shrinking the hashed bytes by ~5× on typical
-/// modules.
+/// modules. A degenerate (low-entropy) module with no ranges hashes the
+/// whole compact row.
 fn lane_ranges(sampler: &BitSlicedSampler, block_ranges: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    if block_ranges.is_empty() {
+        return vec![(0, sampler.metastable_bits())];
+    }
     block_ranges
         .iter()
         .map(|&(start_block, end_block)| {
             sampler.lane_range(start_block * CACHE_BLOCK_BITS, end_block * CACHE_BLOCK_BITS)
         })
         .collect()
+}
+
+/// The raw QUAC source: the chosen segment's bit-sliced sampler, the
+/// thermal-noise stream, and the reused compact row. Kept apart from the
+/// [`ConditionedStream`] so a harvest can borrow it while the stream fills.
+#[derive(Debug, Clone)]
+struct QuacSource {
+    sampler: BitSlicedSampler,
+    /// The SHA inputs of one iteration, as half-open compact-lane ranges.
+    range_lanes: Vec<(usize, usize)>,
+    noise: NoiseRng,
+    /// Reused compact row holding the latest QUAC outcome's metastable bits.
+    compact: BitVec,
+    /// Reused packed-byte buffer for one scalar SHA-256 input.
+    block_bytes: Vec<u8>,
+    iterations: u64,
+}
+
+impl QuacSource {
+    /// Rebuilds the sampler and message ranges for new probabilities; the
+    /// noise stream and the iteration count carry on.
+    fn reprofile(&mut self, probabilities: &[f64], block_ranges: &[(usize, usize)]) {
+        self.sampler = BitSlicedSampler::new(probabilities);
+        self.range_lanes = lane_ranges(&self.sampler, block_ranges);
+    }
+
+    /// One QUAC operation: every metastable bitline resolves once into the
+    /// compact row, which *is* the fresh entropy the iteration harvests.
+    /// Returns the fresh bits drawn.
+    fn advance(&mut self) -> u64 {
+        self.iterations += 1;
+        self.sampler
+            .sample_compact_into(&mut self.compact, &mut self.noise);
+        self.sampler.metastable_bits() as u64
+    }
+
+    /// The hot-path harvest: enough iterations to cover `owed` output bytes
+    /// (capped, so scratch stays small and short reads stay cheap), each
+    /// SHA input appended straight from the compact row's words.
+    fn harvest(&mut self, messages: &mut RawMessages, owed: usize) -> u64 {
+        let per_iteration = DIGEST_BITS / 8 * self.range_lanes.len();
+        let batch = owed.div_ceil(per_iteration).clamp(1, MAX_BATCH_ITERATIONS);
+        let mut fresh = 0;
+        for _ in 0..batch {
+            fresh += self.advance();
+            for &(start, end) in &self.range_lanes {
+                messages.push_bits(&self.compact, start, end);
+            }
+        }
+        fresh
+    }
+
+    /// Hands each SHA input of the latest iteration to `f`, packed through
+    /// [`BitVec::extract_bytes_into`]: the scalar packing of the twins.
+    fn for_each_message_reference(&mut self, mut f: impl FnMut(&[u8])) {
+        for &(start, end) in &self.range_lanes {
+            self.compact
+                .extract_bytes_into(start, end, &mut self.block_bytes);
+            f(&self.block_bytes);
+        }
+    }
 }
 
 /// A ready-to-run QUAC-TRNG instance bound to one module.
@@ -65,49 +114,16 @@ fn lane_ranges(sampler: &BitSlicedSampler, block_ranges: &[(usize, usize)]) -> V
 /// bitlines contribute zero entropy and a constant prefix/suffix to every
 /// SHA input, so hashing the compact projection preserves all entropy), and
 /// [`QuacTrng::fill_bytes`] conditions up to [`qt_crypto::BATCH_LANES`]
-/// iterations at once through the multi-lane SHA-256 of [`qt_crypto::batch`].
-/// Scratch buffers are reused, so sustained generation performs no
+/// iterations at once through the [`ConditionedStream`]'s multi-lane
+/// SHA-256. Scratch buffers are reused, so sustained generation performs no
 /// per-iteration heap allocation.
 #[derive(Debug, Clone)]
 pub struct QuacTrng {
     model: QuacAnalogModel,
     characterization: ModuleCharacterization,
     probabilities: Vec<f64>,
-    sampler: BitSlicedSampler,
-    block_ranges: Vec<(usize, usize)>,
-    /// `block_ranges` projected onto compact lane indices: entry `i` is the
-    /// half-open metastable-lane range whose packed bytes form SHA input `i`.
-    range_lanes: Vec<(usize, usize)>,
-    noise: NoiseRng,
-    /// Buffered random bytes awaiting delivery (Section 9's output buffer).
-    /// A deque: delivery pops from the front without shifting the tail.
-    buffer: VecDeque<u8>,
-    /// Reused compact row holding the latest QUAC outcome's metastable bits.
-    compact: BitVec,
-    /// Reused full-row buffer, expanded from `compact` on demand.
-    raw: BitVec,
-    /// Reused packed-byte buffer for one SHA-256 input block.
-    block_bytes: Vec<u8>,
-    /// Reused per-iteration digest buffer for `generate_bytes`.
-    digests: Vec<Sha256Digest>,
-    /// Reused arena of concatenated SHA message bytes for batched filling.
-    batch_bytes: Vec<u8>,
-    /// Reused `(offset, end)` spans of each message inside `batch_bytes`.
-    batch_spans: Vec<(usize, usize)>,
-    /// Reused digest output buffer for batched filling.
-    batch_digests: Vec<Sha256Digest>,
-    iterations: u64,
-    /// Raw fresh entropy bits sampled from the mechanism so far: one bit per
-    /// metastable bitline per QUAC iteration (plus one per raw VNC sample).
-    /// Monotone over the generator's life — recharacterisation restarts the
-    /// output stream but never rewinds the physics already consumed.
-    fresh_bits_drawn: u64,
-    /// Test/fault-injection seam: corrupts delivered output bytes as a pure
-    /// function of `(seed, stream offset)`. `None` in production.
-    fault: Option<FaultInjector>,
-    /// Output bytes delivered so far — the stream offset the fault seam
-    /// corrupts against.
-    delivered_bytes: u64,
+    source: QuacSource,
+    pub(crate) stream: ConditionedStream,
 }
 
 impl QuacTrng {
@@ -136,37 +152,33 @@ impl QuacTrng {
         characterization: ModuleCharacterization,
         noise_seed: u64,
     ) -> Self {
-        let probabilities = model.bitline_probabilities(
-            characterization.best_segment,
-            characterization.pattern,
-            characterization.conditions,
-        );
-        let block_ranges = characterization.entropy_block_ranges();
-        let sampler = BitSlicedSampler::new(&probabilities);
-        let range_lanes = lane_ranges(&sampler, &block_ranges);
-        let compact = BitVec::zeros(sampler.metastable_bits());
-        let raw = BitVec::zeros(probabilities.len());
-        QuacTrng {
+        let mut trng = QuacTrng {
             model,
             characterization,
-            probabilities,
-            sampler,
-            block_ranges,
-            range_lanes,
-            noise: NoiseRng::new(noise_seed),
-            buffer: VecDeque::new(),
-            compact,
-            raw,
-            block_bytes: Vec::new(),
-            digests: Vec::new(),
-            batch_bytes: Vec::new(),
-            batch_spans: Vec::new(),
-            batch_digests: Vec::new(),
-            iterations: 0,
-            fresh_bits_drawn: 0,
-            fault: None,
-            delivered_bytes: 0,
-        }
+            probabilities: Vec::new(),
+            source: QuacSource {
+                sampler: BitSlicedSampler::new(&[]),
+                range_lanes: Vec::new(),
+                noise: NoiseRng::new(noise_seed),
+                compact: BitVec::zeros(0),
+                block_bytes: Vec::new(),
+                iterations: 0,
+            },
+            stream: ConditionedStream::new(),
+        };
+        trng.reprofile();
+        trng
+    }
+
+    /// Re-derives the per-bitline probabilities, the sampler and the SHA
+    /// input ranges from the stored characterisation.
+    fn reprofile(&mut self) {
+        let ch = &self.characterization;
+        self.probabilities = self
+            .model
+            .bitline_probabilities(ch.best_segment, ch.pattern, ch.conditions);
+        self.source
+            .reprofile(&self.probabilities, &ch.entropy_block_ranges());
     }
 
     /// Builds `count` independent per-channel generator shards that share one
@@ -202,65 +214,44 @@ impl QuacTrng {
 
     /// Number of QUAC iterations performed so far.
     pub fn iterations(&self) -> u64 {
-        self.iterations
+        self.source.iterations
     }
 
     /// Number of 256-bit random numbers produced per QUAC iteration.
     pub fn numbers_per_iteration(&self) -> usize {
-        self.block_ranges.len().max(1)
-    }
-
-    /// Advances the generator by one QUAC operation, refreshing the reused
-    /// compact row through the bit-sliced sampler. Deterministic bitlines
-    /// never consume noise and are reconstructed only when a caller asks for
-    /// the full row.
-    fn advance_compact(&mut self) {
-        self.iterations += 1;
-        // Every metastable bitline resolves once per QUAC operation: that
-        // compact row *is* the fresh entropy this iteration harvests.
-        self.fresh_bits_drawn += self.compact.len() as u64;
-        self.sampler
-            .sample_compact_into(&mut self.compact, &mut self.noise);
+        self.source.range_lanes.len()
     }
 
     /// Performs one QUAC iteration and returns the raw sense-amplifier
     /// contents (before post-processing), expanding the compact outcome back
     /// onto the full row.
     pub fn raw_iteration(&mut self) -> BitVec {
-        self.advance_compact();
-        self.sampler
-            .expand_compact_into(&self.compact, &mut self.raw);
-        self.raw.clone()
+        let fresh = self.source.advance();
+        self.stream.record_fresh_bits(fresh);
+        let mut raw = BitVec::zeros(self.probabilities.len());
+        self.source
+            .sampler
+            .expand_compact_into(&self.source.compact, &mut raw);
+        raw
     }
 
     /// Performs one QUAC iteration and post-processes each 256-bit-entropy
     /// block with SHA-256 into `out` (cleared first) — the allocation-free
-    /// core of [`QuacTrng::iteration`]: compact packed words flow from the
-    /// sampler through the byte extractor into the streaming hasher. The
-    /// digest stream is byte-identical to the batched multi-lane path of
-    /// [`QuacTrng::fill_bytes`].
+    /// core of [`QuacTrng::iteration`]. The digests are the ones the
+    /// iteration contributes to the [`QuacTrng::fill_bytes`] stream.
     pub fn iteration_into(&mut self, out: &mut Vec<Sha256Digest>) {
-        self.advance_compact();
+        let fresh = self.source.advance();
+        self.stream.record_fresh_bits(fresh);
         out.clear();
-        if self.range_lanes.is_empty() {
-            // Degenerate (low-entropy) module: hash the whole compact row.
-            self.compact
-                .extract_bytes_into(0, self.compact.len(), &mut self.block_bytes);
-            out.push(Sha256::digest(&self.block_bytes));
-            return;
-        }
-        for &(start_lane, end_lane) in &self.range_lanes {
-            self.compact
-                .extract_bytes_into(start_lane, end_lane, &mut self.block_bytes);
-            out.push(Sha256::digest(&self.block_bytes));
-        }
+        self.source
+            .for_each_message_reference(|message| out.push(Sha256::digest(message)));
     }
 
     /// Performs one QUAC iteration and post-processes each 256-bit-entropy
     /// block with SHA-256, returning `numbers_per_iteration()` random
     /// 256-bit numbers (Figure 6, steps 1–4).
     pub fn iteration(&mut self) -> Vec<Sha256Digest> {
-        let mut out = Vec::with_capacity(self.block_ranges.len().max(1));
+        let mut out = Vec::with_capacity(self.numbers_per_iteration());
         self.iteration_into(&mut out);
         out
     }
@@ -273,133 +264,29 @@ impl QuacTrng {
     }
 
     /// Fills `out` with random bytes, drawing from the output buffer first
-    /// and running QUAC iterations for the remainder — the allocation-free
-    /// equivalent of [`QuacTrng::generate_bytes`] for callers that reuse one
-    /// delivery buffer (e.g. the sharded RNG service). The emitted stream is
-    /// identical no matter how reads are sliced across the two entry points.
+    /// and running batched QUAC iterations for the remainder — the
+    /// allocation-free equivalent of [`QuacTrng::generate_bytes`] for
+    /// callers that reuse one delivery buffer (e.g. the sharded RNG
+    /// service). The emitted stream is identical no matter how reads are
+    /// sliced across the two entry points.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        self.fill_bytes_clean(out);
-        if let Some(fault) = self.fault {
-            fault.corrupt(self.delivered_bytes, out);
-        }
-        self.delivered_bytes += out.len() as u64;
+        self.stream
+            .fill(out, |messages, owed| self.source.harvest(messages, owed));
     }
 
-    /// The uncorrupted core of [`QuacTrng::fill_bytes`] (the fault seam
-    /// wraps this at the delivery boundary, so the internal output buffer
-    /// always holds clean stream bytes).
-    fn fill_bytes_clean(&mut self, out: &mut [u8]) {
-        let mut filled = 0;
-        loop {
-            filled = self.drain_buffer_into(out, filled);
-            if filled == out.len() {
-                break;
-            }
-            // Batch enough iterations to cover the remaining deficit (capped
-            // so scratch stays small and short reads stay cheap).
-            let per_iter = (qt_crypto::DIGEST_BITS / 8) * self.numbers_per_iteration();
-            let deficit = out.len() - filled;
-            let batch = deficit.div_ceil(per_iter).clamp(1, MAX_BATCH_ITERATIONS);
-            self.run_batched_iterations(batch);
-            // Deliver the fresh digests straight into `out` — only the final
-            // partial digest detours through the deque. Byte order is
-            // identical to pushing everything through the buffer (the
-            // reference twin's path), just without ~2 deque ops per byte.
-            let digests = std::mem::take(&mut self.batch_digests);
-            for digest in &digests {
-                let take = (out.len() - filled).min(digest.len());
-                out[filled..filled + take].copy_from_slice(&digest[..take]);
-                filled += take;
-                if take < digest.len() {
-                    self.buffer.extend(digest[take..].iter().copied());
-                }
-            }
-            self.batch_digests = digests;
-        }
-    }
-
-    /// Copies buffered bytes into `out[filled..]` as (at most) two slice
-    /// memcpys — the deque's two halves — rather than byte-by-byte, and
-    /// returns the new fill level.
-    fn drain_buffer_into(&mut self, out: &mut [u8], filled: usize) -> usize {
-        let take = self.buffer.len().min(out.len() - filled);
-        if take == 0 {
-            return filled;
-        }
-        let (front, back) = self.buffer.as_slices();
-        let from_front = take.min(front.len());
-        out[filled..filled + from_front].copy_from_slice(&front[..from_front]);
-        if take > from_front {
-            out[filled + from_front..filled + take].copy_from_slice(&back[..take - from_front]);
-        }
-        self.buffer.drain(..take);
-        filled + take
-    }
-
-    /// Runs `iterations` QUAC iterations and conditions every block of every
-    /// iteration through one multi-lane SHA-256 pass, leaving the digests in
-    /// `self.batch_digests`. Digests land iteration-major, block-minor —
-    /// exactly the order the scalar per-iteration path emits them, and
-    /// [`qt_crypto::digest_many_into`] is pinned digest-identical to
-    /// [`Sha256::digest`], so batching is invisible in the output stream.
-    fn run_batched_iterations(&mut self, iterations: usize) {
-        let mut arena = std::mem::take(&mut self.batch_bytes);
-        let mut spans = std::mem::take(&mut self.batch_spans);
-        let mut digests = std::mem::take(&mut self.batch_digests);
-        arena.clear();
-        spans.clear();
-        digests.clear();
-        for _ in 0..iterations {
-            self.advance_compact();
-            if self.range_lanes.is_empty() {
-                let start = arena.len();
-                append_packed_bits(&self.compact, 0, self.compact.len(), &mut arena);
-                spans.push((start, arena.len()));
-            } else {
-                for &(start_lane, end_lane) in &self.range_lanes {
-                    let start = arena.len();
-                    append_packed_bits(&self.compact, start_lane, end_lane, &mut arena);
-                    spans.push((start, arena.len()));
-                }
-            }
-        }
-        let messages: Vec<&[u8]> = spans.iter().map(|&(s, e)| &arena[s..e]).collect();
-        digest_many_into(&messages, &mut digests);
-        self.batch_bytes = arena;
-        self.batch_spans = spans;
-        self.batch_digests = digests;
-    }
-
-    /// Frozen reference twin of [`QuacTrng::fill_bytes`]: one scalar
-    /// iteration at a time through [`QuacTrng::iteration_into`] and the
-    /// streaming [`Sha256`], with identical buffering, fault, and
-    /// stream-offset semantics. The equivalence tests pin the batched hot
-    /// path byte-identical to this twin across arbitrary read slicings; it
-    /// is not intended for production use.
+    /// Frozen reference twin of [`QuacTrng::fill_bytes`]: one iteration at
+    /// a time, packed by [`BitVec::extract_bytes_into`] and hashed by the
+    /// scalar [`Sha256`], through the same stream bookkeeping. The
+    /// equivalence tests pin the batched hot path byte-identical to this
+    /// twin across arbitrary read slicings; it is not intended for
+    /// production use.
     pub fn fill_bytes_reference(&mut self, out: &mut [u8]) {
-        let mut digests = std::mem::take(&mut self.digests);
-        let mut filled = 0;
-        loop {
-            filled = self.drain_buffer_into(out, filled);
-            if filled == out.len() {
-                break;
-            }
-            self.iteration_into(&mut digests);
-            for digest in &digests {
-                self.buffer.extend(digest.iter().copied());
-            }
-        }
-        self.digests = digests;
-        if let Some(fault) = self.fault {
-            fault.corrupt(self.delivered_bytes, out);
-        }
-        self.delivered_bytes += out.len() as u64;
-    }
-
-    /// Number of random bytes already generated and awaiting delivery in the
-    /// output buffer (Section 9's controller-side buffer).
-    pub fn buffered_bytes(&self) -> usize {
-        self.buffer.len()
+        self.stream.fill_reference(out, |messages, _| {
+            let fresh = self.source.advance();
+            self.source
+                .for_each_message_reference(|message| messages.push(message));
+            fresh
+        });
     }
 
     /// Generates a bitstream of `bits` random bits (SHA-256 post-processed),
@@ -422,13 +309,12 @@ impl QuacTrng {
             .min_by(|a, b| (a.1 - 0.5).abs().partial_cmp(&(b.1 - 0.5).abs()).unwrap())
             .map(|(i, _)| i)
             .unwrap_or(0);
-        // One quantised threshold, one RNG word per raw sample — the
-        // single-bitline equivalent of the packed row sampler.
+        // One quantised threshold, one RNG word per raw sample.
         let threshold = BitThreshold::quantize(self.probabilities[best]);
-        let rng = &mut self.noise;
+        let rng = &mut self.source.noise;
         let raw = BitVec::from_bits((0..iterations).map(|_| threshold.sample(rng)));
-        self.iterations += iterations as u64;
-        self.fresh_bits_drawn += iterations as u64;
+        self.source.iterations += iterations as u64;
+        self.stream.record_fresh_bits(iterations as u64);
         VonNeumannCorrector::correct(&raw)
     }
 
@@ -437,96 +323,34 @@ impl QuacTrng {
     /// block ranges from the stored characterisation for those conditions
     /// (Section 8's temperature-range handling).
     pub fn set_conditions(&mut self, conditions: OperatingConditions) {
-        let cfg = CharacterizationConfig {
-            segment_stride: 1,
-            bitline_stride: 1,
-            conditions,
-        };
         // Re-profile only the reserved segment (cheap), keeping its identity.
-        let blocks = self.model.geometry().cache_blocks_per_row();
-        let best = self.characterization.best_segment;
-        let cache_blocks: Vec<f64> = (0..blocks)
+        let ch = &mut self.characterization;
+        ch.best_segment_cache_blocks = (0..self.model.geometry().cache_blocks_per_row())
             .map(|cb| {
                 self.model
-                    .cache_block_entropy(best, cb, self.characterization.pattern, conditions)
+                    .cache_block_entropy(ch.best_segment, cb, ch.pattern, conditions)
             })
             .collect();
-        self.characterization.best_segment_cache_blocks = cache_blocks;
-        self.characterization.best_segment_entropy =
-            self.characterization.best_segment_cache_blocks.iter().sum();
-        self.characterization.conditions = cfg.conditions;
-        self.block_ranges = self.characterization.entropy_block_ranges();
-        self.probabilities =
-            self.model
-                .bitline_probabilities(best, self.characterization.pattern, conditions);
-        self.sampler = BitSlicedSampler::new(&self.probabilities);
-        self.range_lanes = lane_ranges(&self.sampler, &self.block_ranges);
-        self.compact = BitVec::zeros(self.sampler.metastable_bits());
-    }
-
-    /// Attaches a [`FaultInjector`] to the delivery path — the test seam
-    /// continuous-validation tests use to make this generator's *served*
-    /// bytes statistically detectable as faulty, without touching the
-    /// sampling pipeline. See [`crate::fault`] for why the corruption
-    /// applies post-SHA (raw-side faults are whitened away).
-    pub fn inject_fault(&mut self, fault: FaultInjector) {
-        self.fault = Some(fault);
-    }
-
-    /// Removes any injected fault.
-    pub fn clear_fault(&mut self) {
-        self.fault = None;
-    }
-
-    /// The currently injected fault, if any.
-    pub fn fault(&self) -> Option<&FaultInjector> {
-        self.fault.as_ref()
-    }
-
-    /// Output bytes delivered so far through [`QuacTrng::fill_bytes`] /
-    /// [`QuacTrng::generate_bytes`] — the stream offset the fault seam
-    /// corrupts against.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.delivered_bytes
-    }
-
-    /// Raw fresh entropy bits sampled from the mechanism over this
-    /// generator's whole life — one bit per metastable bitline per QUAC
-    /// iteration, plus one per raw VNC sample — regardless of whether the
-    /// iteration's output was served, buffered, or (after a
-    /// recharacterisation) discarded. Monotone: the RNG service's entropy
-    /// ledger takes deltas of this counter.
-    pub fn fresh_bits_drawn(&self) -> u64 {
-        self.fresh_bits_drawn
+        ch.best_segment_entropy = ch.best_segment_cache_blocks.iter().sum();
+        ch.conditions = conditions;
+        self.reprofile();
     }
 
     /// Re-runs the full characterisation on the stored analog model and
     /// rebuilds the runtime state from the fresh result — the controller's
     /// response to a shard failing in-service validation (Section 8's
-    /// periodic re-characterisation, triggered on demand). Buffered output
-    /// from the old configuration is discarded (a requalifying shard must
-    /// not serve stale bytes), and a fault marked
-    /// [`transient`](FaultInjector::transient) is cleared — modelling
-    /// damage the re-selected segment routes around.
+    /// periodic re-characterisation, triggered on demand). The stream
+    /// [restarts](ConditionedStream::restart): buffered output from the old
+    /// configuration is discarded (a requalifying shard must not serve
+    /// stale bytes), and a transient fault is cleared — modelling damage
+    /// the re-selected segment routes around.
     ///
     /// Returns the fresh characterisation.
     pub fn recharacterize(&mut self, cfg: &CharacterizationConfig) -> &ModuleCharacterization {
         let pattern = self.characterization.pattern;
         self.characterization = characterize_module(&self.model, pattern, cfg);
-        self.probabilities = self.model.bitline_probabilities(
-            self.characterization.best_segment,
-            self.characterization.pattern,
-            self.characterization.conditions,
-        );
-        self.block_ranges = self.characterization.entropy_block_ranges();
-        self.sampler = BitSlicedSampler::new(&self.probabilities);
-        self.range_lanes = lane_ranges(&self.sampler, &self.block_ranges);
-        self.compact = BitVec::zeros(self.sampler.metastable_bits());
-        self.raw = BitVec::zeros(self.probabilities.len());
-        self.buffer.clear();
-        if self.fault.is_some_and(|f| f.cleared_on_recharacterize) {
-            self.fault = None;
-        }
+        self.reprofile();
+        self.stream.restart();
         &self.characterization
     }
 }
@@ -544,6 +368,8 @@ pub fn shard_seed(base_seed: u64, shard: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::EntropyBackend;
+    use qt_dram_analog::sampler::sample_bitsliced_reference;
     use qt_dram_analog::{ModuleVariation, PAPER_MODULES};
     use qt_dram_core::DramGeometry;
 
@@ -634,8 +460,7 @@ mod tests {
         let mut reference_rng = NoiseRng::new(99);
         for _ in 0..5 {
             let raw = t.raw_iteration();
-            let reference =
-                QuacAnalogModel::sample_from_probabilities_bitsliced(&probs, &mut reference_rng);
+            let reference = sample_bitsliced_reference(&probs, &mut reference_rng);
             assert_eq!(raw, reference);
         }
     }
@@ -662,7 +487,7 @@ mod tests {
             reference.fill_bytes_reference(&mut b);
             assert_eq!(a, b, "diverged at read of {size} bytes");
         }
-        assert_eq!(fast.delivered_bytes(), reference.delivered_bytes());
+        assert_eq!(fast.stream().delivered_bytes(), reference.stream().delivered_bytes());
     }
 
     #[test]
@@ -678,8 +503,8 @@ mod tests {
         let mut fast = QuacTrng::from_model(model.clone(), cfg, 3);
         let mut reference = QuacTrng::from_model(model, cfg, 3);
         let fault = FaultInjector::burst(50, 17);
-        fast.inject_fault(fault);
-        reference.inject_fault(fault);
+        fast.stream_mut().inject_fault(fault);
+        reference.stream_mut().inject_fault(fault);
         for size in [200usize, 3, 999, 128] {
             let mut a = vec![0u8; size];
             let mut b = vec![0u8; size];
@@ -703,26 +528,26 @@ mod tests {
             conditions: OperatingConditions::nominal(),
         };
         let mut trng = QuacTrng::from_model(model, cfg, 9);
-        trng.inject_fault(FaultInjector::stuck_at(0, true).transient());
-        assert!(trng.fault().is_some());
+        trng.stream_mut().inject_fault(FaultInjector::stuck_at(0, true).transient());
+        assert!(trng.stream().fault().is_some());
         trng.recharacterize(&cfg);
         assert!(
-            trng.fault().is_none(),
+            trng.stream().fault().is_none(),
             "first recharacterisation clears a transient fault"
         );
         trng.recharacterize(&cfg);
-        assert!(trng.fault().is_none(), "second pass stays clear");
+        assert!(trng.stream().fault().is_none(), "second pass stays clear");
         // A persistent fault survives any number of recharacterisations.
-        trng.inject_fault(FaultInjector::stuck_at(1, false));
+        trng.stream_mut().inject_fault(FaultInjector::stuck_at(1, false));
         trng.recharacterize(&cfg);
         trng.recharacterize(&cfg);
         assert_eq!(
-            trng.fault().map(|f| f.cleared_on_recharacterize),
+            trng.stream().fault().map(|f| f.cleared_on_recharacterize),
             Some(false)
         );
         // And the healthy stream really is clean: recharacterisation after
         // clearing leaves no residual corruption.
-        trng.clear_fault();
+        trng.stream_mut().clear_fault();
         let mut buf = vec![0u8; 512];
         trng.fill_bytes(&mut buf);
         assert!(
@@ -778,7 +603,7 @@ mod tests {
         let before = t.iterations();
         t.fill_bytes(&mut []);
         assert_eq!(t.iterations(), before);
-        assert_eq!(t.buffered_bytes(), 0);
+        assert_eq!(t.stream().buffered_bytes(), 0);
     }
 
     #[test]
@@ -857,7 +682,7 @@ mod tests {
         };
         let mut clean = QuacTrng::from_model(model.clone(), cfg, 5);
         let mut faulty = QuacTrng::from_model(model, cfg, 5);
-        faulty.inject_fault(FaultInjector::bias(0.85, 99));
+        faulty.stream_mut().inject_fault(FaultInjector::bias(0.85, 99));
         let reference = clean.generate_bytes(8192);
         let corrupted = faulty.generate_bytes(8192);
         assert_ne!(reference, corrupted);
@@ -868,7 +693,7 @@ mod tests {
         let ones: u32 = corrupted.iter().map(|b| b.count_ones()).sum();
         let frac = ones as f64 / (corrupted.len() * 8) as f64;
         assert!((frac - 0.85).abs() < 0.02, "biased delivery, got {frac}");
-        assert_eq!(faulty.delivered_bytes(), 8192);
+        assert_eq!(faulty.stream().delivered_bytes(), 8192);
     }
 
     #[test]
@@ -884,8 +709,8 @@ mod tests {
         let mut chunked = QuacTrng::from_model(model.clone(), cfg, 31);
         let mut bulk = QuacTrng::from_model(model, cfg, 31);
         let fault = FaultInjector::burst(100, 30);
-        chunked.inject_fault(fault);
-        bulk.inject_fault(fault);
+        chunked.stream_mut().inject_fault(fault);
+        bulk.stream_mut().inject_fault(fault);
         let mut stream = Vec::new();
         for size in [3usize, 64, 1, 200, 31, 500] {
             stream.extend(chunked.generate_bytes(size));
@@ -897,9 +722,9 @@ mod tests {
     fn recharacterize_refreshes_state_and_clears_transient_faults() {
         use crate::fault::FaultInjector;
         let mut t = tiny_trng();
-        t.inject_fault(FaultInjector::bias(0.9, 1).transient());
+        t.stream_mut().inject_fault(FaultInjector::bias(0.9, 1).transient());
         let _ = t.generate_bytes(512);
-        assert!(t.fault().is_some());
+        assert!(t.stream().fault().is_some());
         let cfg = CharacterizationConfig {
             segment_stride: 1,
             bitline_stride: 1,
@@ -911,15 +736,15 @@ mod tests {
         // the original (recharacterisation is a pure function of the model).
         assert_eq!(fresh.best_segment, before.best_segment);
         assert!(
-            t.fault().is_none(),
+            t.stream().fault().is_none(),
             "transient fault cleared by recharacterisation"
         );
-        assert_eq!(t.buffered_bytes(), 0, "stale buffered output discarded");
+        assert_eq!(t.stream().buffered_bytes(), 0, "stale buffered output discarded");
         assert_eq!(t.generate_bytes(64).len(), 64);
         // A persistent fault survives recharacterisation.
-        t.inject_fault(FaultInjector::stuck_at(0, true));
+        t.stream_mut().inject_fault(FaultInjector::stuck_at(0, true));
         t.recharacterize(&cfg);
-        assert!(t.fault().is_some(), "persistent fault survives");
+        assert!(t.stream().fault().is_some(), "persistent fault survives");
     }
 
     #[test]

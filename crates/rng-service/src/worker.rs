@@ -49,7 +49,7 @@ pub(crate) fn worker_loop(
     // of per-completion claims can never exceed the bank — the ledger
     // property the contract layer enforces.
     let backend_kind = trng.class().kind;
-    let mut fresh_seen: u64 = trng.fresh_bits_drawn();
+    let mut fresh_seen: u64 = trng.stream().fresh_bits_drawn();
     let mut banked_fresh: u64 = 0;
     let mut pending_drawn: u64 = 0;
     let mut claims: Vec<u64> = Vec::new();
@@ -126,8 +126,8 @@ pub(crate) fn worker_loop(
             // served: they enter the ledger as drawn but are not bankable
             // for completion claims. The pre-probation bank dies with the
             // old stream too — recharacterisation rebuilt the sampler.
-            pending_drawn += trng.fresh_bits_drawn() - fresh_seen;
-            fresh_seen = trng.fresh_bits_drawn();
+            pending_drawn += trng.stream().fresh_bits_drawn() - fresh_seen;
+            fresh_seen = trng.stream().fresh_bits_drawn();
             banked_fresh = 0;
             if !keep_going {
                 let mut st = shared.state.lock().expect("service state poisoned");
@@ -144,16 +144,16 @@ pub(crate) fn worker_loop(
         // Phase 2 (unlocked): one generation pass covers the whole batch.
         buf.resize(batch_bytes, 0);
         trng.fill_bytes(&mut buf);
-        pending_drawn += trng.fresh_bits_drawn() - fresh_seen;
-        banked_fresh += trng.fresh_bits_drawn() - fresh_seen;
-        fresh_seen = trng.fresh_bits_drawn();
+        pending_drawn += trng.stream().fresh_bits_drawn() - fresh_seen;
+        banked_fresh += trng.stream().fresh_bits_drawn() - fresh_seen;
+        fresh_seen = trng.stream().fresh_bits_drawn();
         // Attribute the bank across this batch's requests pro-rata by
         // length. The divisor counts every byte the bank still has to
         // condition — this batch plus the backend's internal buffer (fresh
         // bits drawn for a whole iteration but not yet served) — so claims
         // are conservative and Σ claims ≤ bank by construction.
         claims.clear();
-        let mut unattributed = batch_bytes as u64 + trng.buffered_bytes() as u64;
+        let mut unattributed = batch_bytes as u64 + trng.stream().buffered_bytes() as u64;
         for req in &batch {
             let claim = if unattributed == 0 {
                 0

@@ -90,7 +90,7 @@ bench-check:
 # the generation Gb/s floor).
 perf-tests:
     cargo test -q --test golden_streams
-    cargo test -q -p qt_dram_analog -p qt_crypto -p quac_trng -p qt_nist_sts
+    cargo test -q -p qt_dram_analog -p qt_crypto -p quac_trng -p qt_baselines -p qt_nist_sts
     just bench-check
 
 # Full-density reproduction: seed .quac-cache once with the population-wide

@@ -170,7 +170,7 @@ fn campaign_gradual_drift_fences_then_recovers_with_the_environment() {
         60_000,
         0.004,
     );
-    shards[DRIFTY].inject_fault(FaultInjector::drift(drift, 0xD21F));
+    shards[DRIFTY].stream_mut().inject_fault(FaultInjector::drift(drift, 0xD21F));
     let cfg = RngServiceConfig { validation: chaos_validation(), ..RngServiceConfig::default() };
     let service = RngService::start(shards, cfg);
 
@@ -234,7 +234,7 @@ fn campaign_burst_fault_fails_over_queued_work_bit_identically() {
     const FAULTY: usize = 1;
     const FLOOD: usize = 60;
     let (model, mut shards) = tiny_shards(SHARDS);
-    shards[FAULTY].inject_fault(FaultInjector::burst(64, 48));
+    shards[FAULTY].stream_mut().inject_fault(FaultInjector::burst(64, 48));
     let cfg = RngServiceConfig {
         // A tap queue of one batch per shard makes the lossless tap a real
         // gate: each worker serves at most one batch past what its grader
@@ -305,7 +305,7 @@ fn campaign_burst_fault_fails_over_queued_work_bit_identically() {
 #[test]
 fn campaign_stuck_at_fail_fast_rejects_then_self_heals() {
     let (_, mut shards) = tiny_shards(1);
-    shards[0].inject_fault(FaultInjector::stuck_at(0, true).transient());
+    shards[0].stream_mut().inject_fault(FaultInjector::stuck_at(0, true).transient());
     // Enough probation windows (≈0.5 MB of probation generation + grading)
     // that the degraded interval lasts far longer than one probe_until
     // iteration (bounded by the 50 ms probe deadline) — smaller streaks
@@ -373,8 +373,8 @@ fn campaign_stuck_at_fail_fast_rejects_then_self_heals() {
 fn campaign_multi_shard_loss_parked_submission_resumes_on_readmission() {
     const SHARDS: usize = 2;
     let (_, mut shards) = tiny_shards(SHARDS);
-    shards[0].inject_fault(FaultInjector::bias(0.75, 11).transient());
-    shards[1].inject_fault(FaultInjector::bias(0.75, 13).transient());
+    shards[0].stream_mut().inject_fault(FaultInjector::bias(0.75, 11).transient());
+    shards[1].stream_mut().inject_fault(FaultInjector::bias(0.75, 13).transient());
     let mut validation = chaos_validation();
     validation.policy.probation_windows = 50;
     let cfg = RngServiceConfig {
@@ -421,7 +421,7 @@ fn campaign_multi_shard_loss_parked_submission_resumes_on_readmission() {
 #[test]
 fn campaign_parked_submission_honours_its_own_deadline() {
     let (_, mut shards) = tiny_shards(1);
-    shards[0].inject_fault(FaultInjector::stuck_at(3, false));
+    shards[0].stream_mut().inject_fault(FaultInjector::stuck_at(3, false));
     let cfg = RngServiceConfig {
         validation: chaos_validation(),
         degraded: DegradedPolicy::Park { max_wait: Duration::from_secs(3600) },
@@ -473,7 +473,7 @@ fn campaign_quac_tier_loss_mesh_serves_from_other_backends() {
             60_000,
             0.004,
         );
-        shard.inject_fault(FaultInjector::drift(drift, 0xD21F + i as u64));
+        shard.stream_mut().inject_fault(FaultInjector::drift(drift, 0xD21F + i as u64));
     }
     let geom = DramGeometry::tiny_test();
     const DRANGE_SEED: u64 = 0xD7A6;

@@ -7,10 +7,12 @@
 //! stream produced by the bit-sliced sampling + batched-SHA pipeline; any
 //! change to noise consumption order, lane packing, or digest batching shows
 //! up here as a one-line diff. The D-RaNGe and retention baseline backends
-//! are pinned the same way (first 64 KiB, plus the f64 bits of their
-//! advertised class), which also pins the scans that choose their rows. If a stream change is *intentional* (it is a
-//! breaking change — say so in the changelog), regenerate the constants by
-//! hashing the first MiB / 64 KiB per configuration below.
+//! are pinned the same way (first 64 KiB through both the hot path and the
+//! scalar reference fill, plus the f64 bits of their advertised class),
+//! which also pins the scans that choose their rows. If a stream change is
+//! *intentional* (it is a breaking change — say so in the changelog),
+//! regenerate the constants by hashing the first MiB / 64 KiB per
+//! configuration below.
 
 use quac_trng_repro::baselines::{DRangeTrng, RetentionTrng};
 use quac_trng_repro::crypto::Sha256;
@@ -117,11 +119,20 @@ fn golden_streams_are_identical_through_the_reference_fill_path() {
 
 // ---- baseline generators (the D-RaNGe and retention tiers of the mesh) ----
 
-/// Hashes the first 64 KiB of a baseline backend's stream.
-fn backend_digest(backend: &mut dyn EntropyBackend) -> String {
-    let mut bytes = vec![0u8; 64 << 10];
-    backend.fill_bytes(&mut bytes);
-    hex(&Sha256::digest(&bytes))
+/// Hashes the first 64 KiB of a baseline backend's stream, asserting that
+/// `twin`, built the same way, emits the same bytes through its scalar
+/// `reference` fill.
+fn backend_digest<B: EntropyBackend>(
+    backend: &mut B,
+    twin: &mut B,
+    reference: fn(&mut B, &mut [u8]),
+) -> String {
+    let mut hot = vec![0u8; 64 << 10];
+    backend.fill_bytes(&mut hot);
+    let mut scalar = vec![0u8; 64 << 10];
+    reference(twin, &mut scalar);
+    assert!(hot == scalar, "the reference fill diverges from the hot path");
+    hex(&Sha256::digest(&hot))
 }
 
 /// The advertised class, as the raw bits of its two figures.
@@ -133,11 +144,12 @@ fn class_bits(class: BackendClass) -> (u64, u64) {
 fn golden_drange_tiny_module() {
     let geom = DramGeometry::tiny_test();
     let failures = FailureModel::new(ModuleVariation::generate(&geom, 8));
-    let mut d = DRangeTrng::new(&failures, &geom, 0xD7A6);
+    let build = || DRangeTrng::new(&failures, &geom, 0xD7A6);
+    let mut d = build();
     assert_eq!(class_bits(d.class()), (4613536615873793604, 4633491325566898022));
     assert_eq!(
-        backend_digest(&mut d),
-        "e295cf86d0cb7bec6d9352b28b6e4cb2956dd26a653feef871105027bd4a6377",
+        backend_digest(&mut d, &mut build(), DRangeTrng::fill_bytes_reference),
+        "9d9103f9e2298ec95eac273188c59c2ea466c2c7adc5ca9299f5bc9aeabc2d46",
     );
 }
 
@@ -145,11 +157,12 @@ fn golden_drange_tiny_module() {
 fn golden_drange_paper_module_m1() {
     let profile = &PAPER_MODULES[0];
     let failures = FailureModel::new(profile.variation());
-    let mut d = DRangeTrng::new(&failures, &profile.geometry(), 0xD7A6);
+    let build = || DRangeTrng::new(&failures, &profile.geometry(), 0xD7A6);
+    let mut d = build();
     assert_eq!(class_bits(d.class()), (4613075045672173236, 4633491325566898022));
     assert_eq!(
-        backend_digest(&mut d),
-        "110a29c796819c826f0886f212a22452d7e0b22187ece0e9c2f03aa54be09582",
+        backend_digest(&mut d, &mut build(), DRangeTrng::fill_bytes_reference),
+        "820f8e72d3e2d0ac5da05019bc9dce93bedddbd1e580e542fe0ad842c5b62668",
     );
 }
 
@@ -157,12 +170,13 @@ fn golden_drange_paper_module_m1() {
 fn golden_retention_tiny_module() {
     let geom = DramGeometry::tiny_test();
     let retention = RetentionModel::new(ModuleVariation::generate(&geom, 8));
-    let mut r = RetentionTrng::new(&retention, &geom, 0x7A1D);
+    let build = || RetentionTrng::new(&retention, &geom, 0x7A1D);
+    let mut r = build();
     assert_eq!(r.pause_s().to_bits(), 4655430540549784157);
     assert_eq!(class_bits(r.class()), (4610785298501913804, 4643284915805844576));
     assert_eq!(
-        backend_digest(&mut r),
-        "899cf42e1d9b77f3b4b8c6075f505537a2b404e707fca825e8b22815af58a94b",
+        backend_digest(&mut r, &mut build(), RetentionTrng::fill_bytes_reference),
+        "871c566994770f528374a3afc853673499f34bbcd7c7a21d327a333c1a2b8a6c",
     );
 }
 
@@ -173,11 +187,12 @@ fn golden_retention_row_scan() {
     // sampling (the tiny geometry has a single candidate row).
     let geom = DramGeometry { subarrays_per_bank: 64, ..DramGeometry::tiny_test() };
     let retention = RetentionModel::new(ModuleVariation::generate(&geom, 8));
-    let mut r = RetentionTrng::new(&retention, &geom, 0x7A1D);
+    let build = || RetentionTrng::new(&retention, &geom, 0x7A1D);
+    let mut r = build();
     assert_eq!(r.pause_s().to_bits(), 4653768110129252013);
     assert_eq!(class_bits(r.class()), (4610785298501913804, 4643284915805844576));
     assert_eq!(
-        backend_digest(&mut r),
-        "a274491b78fad713b8cb3bfddd1707889502283e28729f8c2ec8a5a9f4bc8222",
+        backend_digest(&mut r, &mut build(), RetentionTrng::fill_bytes_reference),
+        "b2e64c7c4752765a1470a8d3cbb5ff436e1a0378a4504b5e3938984825d42716",
     );
 }

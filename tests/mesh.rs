@@ -319,7 +319,7 @@ fn per_shard_verdicts_match_serial_batteries_over_the_served_streams() {
         let mut trng =
             QuacTrng::with_characterization(model.clone(), ch.clone(), shard_seed(BASE_SEED, seed_idx));
         if let Some(fault) = fault {
-            trng.inject_fault(fault);
+            trng.stream_mut().inject_fault(fault);
         }
         trng
     };

@@ -18,6 +18,7 @@ use quac_trng_repro::rng_service::{
 use quac_trng_repro::trng::characterize::{characterize_module, CharacterizationConfig};
 use quac_trng_repro::trng::fault::FaultInjector;
 use quac_trng_repro::trng::pipeline::{shard_seed, QuacTrng};
+use quac_trng_repro::trng::EntropyBackend;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -420,7 +421,7 @@ fn biased_shard_is_quarantined_within_bounded_windows_and_readmitted() {
     let (model, mut shards) = tiny_shards(SHARDS);
     // A transient delivery-side bias on shard 1: every served window fails
     // monobit decisively, and recharacterisation routes around the fault.
-    shards[FAULTY].inject_fault(FaultInjector::bias(0.75, 7).transient());
+    shards[FAULTY].stream_mut().inject_fault(FaultInjector::bias(0.75, 7).transient());
     let cfg = RngServiceConfig { validation: test_validation(), ..RngServiceConfig::default() };
     let service = RngService::start(shards, cfg);
 
@@ -518,7 +519,7 @@ fn shutdown_during_endless_requalification_terminates_cleanly() {
     // A *persistent* stuck-at fault: probation can never pass, so the shard
     // cycles recharacterise → probation-fail forever. Shutdown must still
     // drain queued work and return promptly.
-    shards[FAULTY].inject_fault(FaultInjector::stuck_at(0, true));
+    shards[FAULTY].stream_mut().inject_fault(FaultInjector::stuck_at(0, true));
     let cfg = RngServiceConfig { validation: test_validation(), ..RngServiceConfig::default() };
     let service = RngService::start(shards, cfg);
 
@@ -565,7 +566,7 @@ fn all_quarantined_fail_fast_rejects_new_work_and_drains_cleanly() {
     // serves while the service runs — and shutdown must still terminate
     // despite the endless requalification loop.
     let (_, mut shards) = tiny_shards(1);
-    shards[0].inject_fault(FaultInjector::stuck_at(0, true));
+    shards[0].stream_mut().inject_fault(FaultInjector::stuck_at(0, true));
     let cfg = RngServiceConfig { validation: test_validation(), ..RngServiceConfig::default() };
     let service = RngService::start(shards, cfg);
 
@@ -614,7 +615,7 @@ fn misaligned_validation_window_fails_fast_at_start() {
 fn abort_during_quarantine_terminates_cleanly() {
     const FAULTY: usize = 0;
     let (_, mut shards) = tiny_shards(2);
-    shards[FAULTY].inject_fault(FaultInjector::burst(64, 48));
+    shards[FAULTY].stream_mut().inject_fault(FaultInjector::burst(64, 48));
     let cfg = RngServiceConfig { validation: test_validation(), ..RngServiceConfig::default() };
     let service = RngService::start(shards, cfg);
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -875,7 +876,7 @@ fn degraded_parking_unblocks_on_policy_timeout() {
     // submit during total quarantine parks, then gives up with the typed
     // Degraded error once the bound passes (readmission never comes).
     let (_, mut shards) = tiny_shards(1);
-    shards[0].inject_fault(FaultInjector::stuck_at(0, true));
+    shards[0].stream_mut().inject_fault(FaultInjector::stuck_at(0, true));
     let cfg = RngServiceConfig {
         validation: test_validation(),
         degraded: DegradedPolicy::Park { max_wait: Duration::from_millis(200) },
@@ -1064,7 +1065,7 @@ fn custom_placement_policy_owns_shard_assignment() {
     policies.placement = Box::new(PinToZero);
     let backends = shards
         .into_iter()
-        .map(|s| Box::new(s) as Box<dyn quac_trng_repro::trng::EntropyBackend>)
+        .map(|s| Box::new(s) as Box<dyn EntropyBackend>)
         .collect();
     let service = RngService::start_with_policies(backends, cfg, policies);
     let completions: Vec<Completion> = (0..12)
