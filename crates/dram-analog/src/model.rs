@@ -116,25 +116,6 @@ impl QuacAnalogModel {
         d
     }
 
-    /// The deterministic bias of a bitline (pattern imbalance converted to a
-    /// voltage plus sense-amplifier offset, cell offset and aging drift), in
-    /// noise-sigma units at nominal conditions.
-    pub fn bitline_bias(
-        &self,
-        segment: Segment,
-        bitline: usize,
-        pattern: DataPattern,
-        conditions: OperatingConditions,
-    ) -> f64 {
-        let params = self.variation.params();
-        let subarray = self.variation.subarray_of_segment(segment);
-        let pattern_term = self.pattern_imbalance(segment, pattern) * params.share_voltage;
-        pattern_term
-            + self.variation.sa_offset(subarray, bitline)
-            + self.variation.cell_offset(segment, bitline)
-            + self.variation.aging_drift(segment, bitline, conditions.age_days)
-    }
-
     /// The effective thermal-noise scale for a bitline of a segment under the
     /// given conditions (favored segments get an additional boost).
     pub fn noise_scale(

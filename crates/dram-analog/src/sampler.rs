@@ -235,22 +235,6 @@ impl BitSlicedSampler {
             }
         }
     }
-
-    /// Samples one full QUAC outcome into `out`, reusing its storage words.
-    /// Draws exactly the words [`BitSlicedSampler::sample_compact_into`]
-    /// draws (the expansion is noise-free).
-    pub fn sample_into<R: RngCore + ?Sized>(&self, out: &mut BitVec, rng: &mut R) {
-        let mut compact = BitVec::zeros(self.lanes);
-        self.sample_compact_into(&mut compact, rng);
-        self.expand_compact_into(&compact, out);
-    }
-
-    /// Samples one full QUAC outcome into a fresh bit vector.
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> BitVec {
-        let mut out = BitVec::zeros(self.len);
-        self.sample_into(&mut out, rng);
-        out
-    }
 }
 
 /// Scalar reference for the bit-sliced scheme: one bitline at a time, with
@@ -317,19 +301,33 @@ mod tests {
         assert!(!BitThreshold::quantize(1e-9).is_deterministic());
     }
 
+    /// One full row outcome through the hot-path pair: compact lanes, then
+    /// the noise-free expansion over the deterministic base.
+    fn sample_row<R: RngCore + ?Sized>(sampler: &BitSlicedSampler, rng: &mut R) -> BitVec {
+        let (mut compact, mut row) = (BitVec::zeros(0), BitVec::zeros(0));
+        sampler.sample_compact_into(&mut compact, rng);
+        sampler.expand_compact_into(&compact, &mut row);
+        row
+    }
+
     #[test]
-    fn sample_into_reuses_storage_and_matches_sample() {
+    fn compact_sample_and_expansion_reshape_reused_storage() {
         let probs: Vec<f64> = (0..200).map(|i| (i as f64) / 199.0).collect();
         let sampler = BitSlicedSampler::new(&probs);
         let mut rng_a = StdRng::seed_from_u64(9);
         let mut rng_b = StdRng::seed_from_u64(9);
-        let fresh = sampler.sample(&mut rng_a);
-        let mut reused = BitVec::zeros(7); // wrong length: must be re-shaped
-        sampler.sample_into(&mut reused, &mut rng_b);
+        let fresh = sample_row(&sampler, &mut rng_a);
+        // Wrong lengths: both buffers must be re-shaped.
+        let (mut compact, mut reused) = (BitVec::zeros(3), BitVec::zeros(7));
+        sampler.sample_compact_into(&mut compact, &mut rng_b);
+        sampler.expand_compact_into(&compact, &mut reused);
+        assert_eq!(compact.len(), sampler.metastable_bits());
         assert_eq!(fresh, reused);
-        // Second use keeps the same allocation and stays consistent.
-        sampler.sample_into(&mut reused, &mut rng_b);
+        // Second use keeps the same shapes and stays consistent.
+        sampler.sample_compact_into(&mut compact, &mut rng_b);
+        sampler.expand_compact_into(&compact, &mut reused);
         assert_eq!(reused.len(), 200);
+        assert_eq!(reused, sample_row(&sampler, &mut rng_a));
     }
 
     #[test]
@@ -338,7 +336,7 @@ mod tests {
         let sampler = BitSlicedSampler::new(&probs);
         assert_eq!(sampler.metastable_bits(), 0);
         let mut rng = crate::NoiseRng::new(1);
-        let s = sampler.sample(&mut rng);
+        let s = sample_row(&sampler, &mut rng);
         assert!(!s.get(0) && s.get(1) && !s.get(2) && s.get(3));
         assert_eq!(rng.words_drawn(), 0, "deterministic rows must not draw noise");
     }
@@ -350,7 +348,7 @@ mod tests {
         let mut rng = crate::NoiseRng::new(4);
         let mut ones = [0u32; 5];
         for _ in 0..4000 {
-            let s = sampler.sample(&mut rng);
+            let s = sample_row(&sampler, &mut rng);
             for (i, one) in ones.iter_mut().enumerate() {
                 *one += s.get(i) as u32;
             }
@@ -384,7 +382,7 @@ mod tests {
             let sampler = BitSlicedSampler::new(&probs);
             let mut fast_rng = crate::NoiseRng::new(seed);
             let mut scalar_rng = crate::NoiseRng::new(seed);
-            let fast = sampler.sample(&mut fast_rng);
+            let fast = sample_row(&sampler, &mut fast_rng);
             let scalar = sample_bitsliced_reference(&probs, &mut scalar_rng);
             prop_assert_eq!(fast, scalar);
             // Both consumed the same number of noise words.
@@ -401,7 +399,7 @@ mod tests {
             let sampler = BitSlicedSampler::new(&probs);
             let mut fast_rng = StdRng::seed_from_u64(seed);
             let mut scalar_rng = StdRng::seed_from_u64(seed);
-            let fast = sampler.sample(&mut fast_rng);
+            let fast = sample_row(&sampler, &mut fast_rng);
             let scalar = sample_bitsliced_reference(&probs, &mut scalar_rng);
             prop_assert_eq!(fast, scalar);
             prop_assert_eq!(fast_rng.next_u64(), scalar_rng.next_u64());
@@ -417,7 +415,7 @@ mod tests {
             let mut row_rng = crate::NoiseRng::new(seed);
             let mut compact = BitVec::zeros(0);
             sampler.sample_compact_into(&mut compact, &mut compact_rng);
-            let row = sampler.sample(&mut row_rng);
+            let row = sample_row(&sampler, &mut row_rng);
             // Same noise consumption, and the expansion is exactly the
             // scatter of compact lanes over the deterministic base.
             prop_assert_eq!(compact_rng.words_drawn(), row_rng.words_drawn());
@@ -441,7 +439,7 @@ mod tests {
             let sampler = BitSlicedSampler::new(&probs);
             prop_assert_eq!(sampler.metastable_bits(), 0);
             let mut rng = StdRng::seed_from_u64(seed);
-            let out = sampler.sample(&mut rng);
+            let out = sample_row(&sampler, &mut rng);
             let mut scalar_rng = StdRng::seed_from_u64(seed);
             prop_assert_eq!(&sample_bitsliced_reference(&probs, &mut scalar_rng), &out);
             prop_assert_eq!(out, BitVec::from_bits(bits));
@@ -456,7 +454,7 @@ mod tests {
             let sampler = BitSlicedSampler::new(&probs);
             prop_assert_eq!(sampler.metastable_bits(), 0);
             let mut rng = crate::NoiseRng::new(seed);
-            let out = sampler.sample(&mut rng);
+            let out = sample_row(&sampler, &mut rng);
             prop_assert_eq!(rng.words_drawn(), 0);
             prop_assert_eq!(out, BitVec::from_bits(bits));
         }

@@ -43,11 +43,6 @@ impl TransferRate {
         TransferRate { mts: 2400 }
     }
 
-    /// DDR4-2133.
-    pub fn ddr4_2133() -> Self {
-        TransferRate { mts: 2133 }
-    }
-
     /// DDR4-2666.
     pub fn ddr4_2666() -> Self {
         TransferRate { mts: 2666 }

@@ -170,18 +170,6 @@ impl TimingParams {
         self.burst_length as f64 / 2.0 * rate.clock_period_ns()
     }
 
-    /// Time from issuing an ACT (with nominal timing) until the first column
-    /// command may be issued.
-    pub fn act_to_column_ns(&self) -> f64 {
-        self.t_rcd
-    }
-
-    /// Minimum time between consecutive ACTs to the same bank
-    /// (`tRAS + tRP = tRC`).
-    pub fn act_to_act_same_bank_ns(&self) -> f64 {
-        self.t_rc
-    }
-
     /// Returns `true` if a PRE issued `gap_ns` after an ACT violates tRAS.
     pub fn violates_t_ras(&self, gap_ns: f64) -> bool {
         gap_ns < self.t_ras

@@ -82,11 +82,6 @@ impl DramModuleSim {
         &self.analog
     }
 
-    /// The reduced-timing failure model backing this module.
-    pub fn failure_model(&self) -> &FailureModel {
-        &self.failures
-    }
-
     /// The DDR4 timing parameters the module expects.
     pub fn timing(&self) -> &TimingParams {
         &self.timing
@@ -100,11 +95,6 @@ impl DramModuleSim {
     /// Sets the operating conditions (temperature, age).
     pub fn set_conditions(&mut self, conditions: OperatingConditions) {
         self.conditions = conditions;
-    }
-
-    /// Re-seeds the thermal-noise RNG (useful for reproducible experiments).
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
     }
 
     /// Returns the reference of a bank.

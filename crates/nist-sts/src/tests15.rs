@@ -38,10 +38,12 @@
 //!   `i` is the m-bit window's prefix.
 //! * **Maurer's universal** — L-bit blocks are extracted with one
 //!   [`BitVec::word_at`] load + bit-reverse instead of L `get` calls.
-//! * **linear complexity** — Berlekamp–Massey over packed words: the
-//!   discrepancy is the parity of `popcount(C & R)` where `R` is a shift
-//!   register holding the block reversed, and the `C ^= B · x^shift` update
-//!   is a word-wise shifted XOR.
+//! * **linear complexity** — Berlekamp–Massey bit-sliced across blocks: up
+//!   to 64 blocks are transposed into bit-planes (bit `k` of plane `t` is bit
+//!   `t` of block `k`), and one run advances all 64 lanes per AND/XOR. The
+//!   discrepancy is a forward reduction over the reversed planes, bounded by
+//!   the largest lane length; the `C ^= d & P` update and the shifted
+//!   `P = x^(i−m)·B` refresh are bounded by `max_k (i + 1 − L_k)`.
 //! * **binary matrix rank** — rows are one 32-bit load + `reverse_bits`.
 //!
 //! * **dft (spectral)** — the production path runs a *real-input* FFT
@@ -59,8 +61,11 @@
 //! The spectral test's twin is [`dft_reference`] (the frozen complex-FFT
 //! implementation); its p-value is pinned to the real-FFT path through the
 //! integer below-threshold count, which absorbs ulp-level magnitude
-//! differences. The excursion tests are unchanged (the cycle partition is a
-//! cheap single pass).
+//! differences. The excursion tests first count the walk's cycles `J` with
+//! a byte-skipping pass (a byte cannot return the walk to zero while
+//! `|S| > 8`); below the `J ≥ 500` gate they are inapplicable without the
+//! full counting scan. On random input `J ≈ √(2n/π)` (about 180 at 50 kb),
+//! so that is the usual outcome for windows well below 1 Mb.
 
 use crate::special::{erfc, fft, igamc, std_normal_cdf, RealFftPlan};
 use crate::{Applicability, TestResult};
@@ -769,68 +774,141 @@ fn berlekamp_massey(bits: &[bool]) -> usize {
     l
 }
 
-/// XORs `b · x^shift` into `c`, word-wise (bits shifted past `c`'s storage
-/// are dropped, as in the scalar update's `j < n − shift` bound).
-fn xor_shifted(c: &mut [u64], b: &[u64], shift: usize) {
-    let (ws, bs) = (shift / 64, shift % 64);
-    if bs == 0 {
-        for k in ws..c.len() {
-            c[k] ^= b[k - ws];
+/// Transposes a 64×64 bit matrix in place (row `r` = `square[r]`, column
+/// `c` = bit `c`): afterwards bit `c` of row `r` is the former bit `r` of
+/// row `c`. Six rounds of block swaps, halving the block size each round.
+fn transpose_64x64(square: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while width != 0 {
+        // Swap the upper-right and lower-left `width`-blocks of each
+        // 2·width square on the diagonal.
+        let mut row = 0;
+        while row < 64 {
+            let t = ((square[row] >> width) ^ square[row + width]) & mask;
+            square[row] ^= t << width;
+            square[row + width] ^= t;
+            row = (row + width + 1) & !width;
         }
-    } else {
-        for k in ws..c.len() {
-            let lo = b[k - ws] << bs;
-            let hi = if k > ws { b[k - ws - 1] >> (64 - bs) } else { 0 };
-            c[k] ^= lo | hi;
-        }
+        width >>= 1;
+        mask ^= mask << width;
     }
 }
 
-/// Berlekamp–Massey over a bit block packed into `u64` words (`n` bits, LSB
-/// first). The discrepancy is the parity of `popcount(C & R)` where `R` is a
-/// shift register holding the consumed stream reversed (bit k = s_{i−k}), so
-/// the inner XOR loop runs 64 taps per word operation. Returns the linear
-/// complexity, identical to the bit-at-a-time [`berlekamp_massey`].
-fn berlekamp_massey_packed(s: &[u64], n: usize) -> usize {
-    if n == 0 {
-        return 0;
+/// Berlekamp–Massey over up to 64 blocks at once, bit-sliced: lane `k` of
+/// every `u64` belongs to block `k`, so one AND/XOR step advances all
+/// blocks. Per lane it performs exactly the updates of the bit-at-a-time
+/// [`berlekamp_massey`] (`C ^= d·x^(i−m)·B`; on a length change `B ← C_old`,
+/// `m ← i`, `L ← i + 1 − L`) and returns the same linear complexities.
+///
+/// The state is allocated once per block length and reused for every batch.
+struct SlicedBerlekampMassey {
+    /// The batch transposed and reversed: bit `k` of `planes[M − 1 − t]` is
+    /// bit `t` of block `k`. With the stream reversed, the discrepancy
+    /// `⊕_j C[j] & s[i − j]` is a forward AND/XOR reduction over
+    /// `planes[M − 1 − i..]`.
+    planes: Vec<u64>,
+    /// Connection polynomials: bit `k` of `c[j]` is coefficient `j` of lane
+    /// `k`'s C. Invariant: `deg C_k ≤ L_k`.
+    c: Vec<u64>,
+    /// `P = x^(i−m)·B`, kept shifted: coefficient `j` of step `i`'s P sits
+    /// at `p[M − i + j]`, so the per-step `P ← x·P` is a move of the window
+    /// base. Invariant: `deg P_k ≤ i + 1 − L_k`.
+    p: Vec<u64>,
+    /// Per-lane linear complexity `L_k`.
+    lengths: [usize; 64],
+    /// `eligible_at[t]`: lanes that may change length again from step `t`
+    /// on (`t = 2·L_k` after their last change).
+    eligible_at: Vec<u64>,
+}
+
+impl SlicedBerlekampMassey {
+    fn new(block_len: usize) -> Self {
+        SlicedBerlekampMassey {
+            planes: vec![0; block_len],
+            c: vec![0; block_len + 1],
+            p: vec![0; 2 * block_len + 2],
+            lengths: [0; 64],
+            eligible_at: vec![0; block_len],
+        }
     }
-    let w = n.div_ceil(64);
-    let mut c = vec![0u64; w];
-    let mut b = vec![0u64; w];
-    c[0] = 1;
-    b[0] = 1;
-    let mut r = vec![0u64; w];
-    let (mut l, mut m) = (0usize, -1isize);
-    for i in 0..n {
-        // R <<= 1, inserting s_i: R now holds bit k = s_{i−k}.
-        let mut carry = (s[i / 64] >> (i % 64)) & 1;
-        for word in r.iter_mut() {
-            let next = *word >> 63;
-            *word = (*word << 1) | carry;
-            carry = next;
-        }
-        // d = ⊕_{j=0..l} c_j · s_{i−j}: C's bits beyond l are zero and R's
-        // bits beyond i are zero, so folding whole words is exact.
-        let active = l / 64 + 1;
-        let mut acc = 0u64;
-        for k in 0..active.min(w) {
-            acc ^= c[k] & r[k];
-        }
-        if acc.count_ones() & 1 == 1 {
-            let shift = (i as isize - m) as usize;
-            if l <= i / 2 {
-                let t = c.clone();
-                xor_shifted(&mut c, &b, shift);
-                b = t;
-                l = i + 1 - l;
-                m = i as isize;
-            } else {
-                xor_shifted(&mut c, &b, shift);
+
+    /// Linear complexities of the `lanes ≤ 64` consecutive blocks of
+    /// `planes.len()` bits starting at bit `start` of `bits`.
+    fn run(&mut self, bits: &BitVec, start: usize, lanes: usize) -> &[usize] {
+        debug_assert!((1..=64).contains(&lanes));
+        let m = self.planes.len();
+        let planes = &mut self.planes;
+        // Transpose 64 bits of every block at a time: row k of the square
+        // is block k's chunk, so after the transpose row t holds bit t of
+        // every lane. Bits past the block are masked off (they belong to the
+        // next block).
+        let mut square = [0u64; 64];
+        for chunk in (0..m).step_by(64) {
+            let width = (m - chunk).min(64);
+            let mask = if width == 64 { !0 } else { (1u64 << width) - 1 };
+            for (k, row) in square.iter_mut().enumerate() {
+                *row = if k < lanes { bits.word_at(start + k * m + chunk) & mask } else { 0 };
+            }
+            transpose_64x64(&mut square);
+            for (t, &row) in square[..width].iter().enumerate() {
+                planes[m - 1 - chunk - t] = row;
             }
         }
+        let (c, p, lengths) = (&mut self.c, &mut self.p, &mut self.lengths);
+        c.fill(0);
+        c[0] = !0;
+        p.fill(0);
+        let mut base = m;
+        p[base + 1] = !0; // step 0: P = x^(0−(−1))·1 = x
+        lengths.fill(0);
+        let eligible_at = &mut self.eligible_at;
+        eligible_at.fill(0);
+        // Lanes whose length may change at this step (2·L_k ≤ i): all at
+        // first, then a changed lane rejoins at step 2·L_k, since it cannot
+        // change again before.
+        let mut eligible = !0u64;
+        let (mut max_len, mut min_len) = (0usize, 0usize);
+        for i in 0..m {
+            eligible |= eligible_at[i];
+            // Lanes with L_k < j have C_k[j] = 0, so the max L bounds the sum.
+            let d = c[..=max_len]
+                .iter()
+                .zip(&planes[m - 1 - i..])
+                .fold(0u64, |acc, (&cj, &sj)| acc ^ (cj & sj));
+            if d != 0 {
+                let changed = d & eligible;
+                // C ^= d & P, and P ← (changed ? C_old : P) before the shift.
+                // Changed lanes have L_k ≤ i/2, so deg C_old ≤ i + 1 − L_k
+                // too: the P bound covers both polynomials.
+                let hi = i + 1 - min_len;
+                for (cj, pj) in c[..=hi].iter_mut().zip(&mut p[base..=base + hi]) {
+                    let (old_c, old_p) = (*cj, *pj);
+                    *cj = old_c ^ (d & old_p);
+                    *pj = (changed & old_c) | (!changed & old_p);
+                }
+                eligible &= !changed;
+                let mut pending = changed;
+                let mut min_changed = false;
+                while pending != 0 {
+                    let k = pending.trailing_zeros() as usize;
+                    pending &= pending - 1;
+                    min_changed |= lengths[k] == min_len;
+                    lengths[k] = i + 1 - lengths[k];
+                    max_len = max_len.max(lengths[k]);
+                    if let Some(slot) = eligible_at.get_mut(2 * lengths[k]) {
+                        *slot |= 1 << k;
+                    }
+                }
+                if min_changed {
+                    min_len = lengths[..lanes].iter().copied().min().unwrap_or(0);
+                }
+            }
+            // P ← x·P: p[base − 1] was never written, so the new x⁰ term is 0.
+            base -= 1;
+        }
+        &lengths[..lanes]
     }
-    l
 }
 
 const LINEAR_COMPLEXITY_PI: [f64; 7] = [0.010417, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833];
@@ -870,8 +948,8 @@ fn linear_complexity_mu(m: usize) -> f64 {
     m as f64 / 2.0 + (9.0 - sign_m) / 36.0 - (m as f64 / 3.0 + 2.0 / 9.0) / 2f64.powi(m as i32)
 }
 
-/// 2.10 Linear complexity test (block length M, typically 500), with the
-/// Berlekamp–Massey inner loop over packed `u64` words.
+/// 2.10 Linear complexity test (block length M, typically 500), with one
+/// bit-sliced Berlekamp–Massey run per 64 blocks.
 pub fn linear_complexity(bits: &BitVec, block_len: usize) -> TestResult {
     let n = bits.len();
     let m = block_len;
@@ -880,20 +958,12 @@ pub fn linear_complexity(bits: &BitVec, block_len: usize) -> TestResult {
         return not_applicable("linear_complexity", "blocks", 10, blocks);
     }
     let mu = linear_complexity_mu(m);
-    let words_per_block = m.div_ceil(64);
-    let mut block = vec![0u64; words_per_block];
+    let mut bm = SlicedBerlekampMassey::new(m);
     let mut counts = [0usize; 7];
-    for b in 0..blocks {
-        let start = b * m;
-        for (k, word) in block.iter_mut().enumerate() {
-            *word = bits.word_at(start + 64 * k);
+    for first in (0..blocks).step_by(64) {
+        for &l in bm.run(bits, first * m, (blocks - first).min(64)) {
+            counts[linear_complexity_bucket(l as f64, m, mu)] += 1;
         }
-        let rem = m % 64;
-        if rem != 0 {
-            block[words_per_block - 1] &= (1u64 << rem) - 1;
-        }
-        let l = berlekamp_massey_packed(&block, m) as f64;
-        counts[linear_complexity_bucket(l, m, mu)] += 1;
     }
     result("linear_complexity", linear_complexity_p_value(&counts, blocks))
 }
@@ -1259,6 +1329,43 @@ fn excursion_scan(bits: &BitVec) -> ExcursionScan {
     scan
 }
 
+/// The cycle count `J` of the ±1 walk — the same integer
+/// [`excursion_scan`] produces — without the per-state bookkeeping. While
+/// `|S| > 8` the walk cannot return to zero within the next byte, so the
+/// byte is applied with one popcount (a whole word while `|S| > 64`); only
+/// bytes that start near zero are walked bit by bit. Both excursion tests run it first, so a stream below
+/// the `J` gate (the usual case well under 1 Mb) skips the full scan.
+fn excursion_cycle_count(bits: &BitVec) -> usize {
+    let n = bits.len();
+    let mut s = 0i64;
+    let mut zeros = 0usize;
+    for (index, &word) in bits.words().iter().enumerate() {
+        let mut w = word;
+        let mut left = n.saturating_sub(64 * index).min(64);
+        if s.abs() > 64 {
+            // Far from zero, a whole word cannot return either.
+            s += 2 * i64::from(w.count_ones()) - left as i64;
+            continue;
+        }
+        while left > 0 {
+            let take = left.min(8);
+            let byte = w & ((1u64 << take) - 1);
+            if s.abs() > 8 {
+                s += 2 * i64::from(byte.count_ones()) - take as i64;
+            } else {
+                for t in 0..take {
+                    s += if (byte >> t) & 1 == 1 { 1 } else { -1 };
+                    zeros += usize::from(s == 0);
+                }
+            }
+            w >>= 8;
+            left -= take;
+        }
+    }
+    // A non-empty tail after the last return is one more cycle.
+    zeros + usize::from(s != 0)
+}
+
 fn excursion_cycles(bits: &BitVec) -> (Vec<Vec<i64>>, usize) {
     // Partition the random walk into zero-crossing cycles; each cycle records
     // the walk states visited.
@@ -1340,11 +1447,12 @@ fn excursion_variant_state_p(cycles: &[Vec<i64>], j: usize, x: i64) -> f64 {
 /// directly, with no per-cycle state vectors. Identical to
 /// [`random_excursion_reference`] to the last ulp (proptest-pinned).
 pub fn random_excursion(bits: &BitVec) -> TestResult {
-    let scan = excursion_scan(bits);
     let required = excursion_min_cycles(bits.len());
-    if scan.j < required {
-        return not_applicable("random_excursion", "cycles", required, scan.j);
+    let j = excursion_cycle_count(bits);
+    if j < required {
+        return not_applicable("random_excursion", "cycles", required, j);
     }
+    let scan = excursion_scan(bits);
     let mut min_p = 1.0f64;
     for &x in &EXCURSION_STATES {
         let counts = &scan.bucketed[excursion_state_index(x)];
@@ -1373,11 +1481,12 @@ pub fn random_excursion_reference(bits: &BitVec) -> TestResult {
 /// visit totals, so no cycle structure is stored at all. Identical to
 /// [`random_excursion_variant_reference`] to the last ulp (proptest-pinned).
 pub fn random_excursion_variant(bits: &BitVec) -> TestResult {
-    let scan = excursion_scan(bits);
     let required = excursion_min_cycles(bits.len());
-    if scan.j < required {
-        return not_applicable("random_excursion_variant", "cycles", required, scan.j);
+    let j = excursion_cycle_count(bits);
+    if j < required {
+        return not_applicable("random_excursion_variant", "cycles", required, j);
     }
+    let scan = excursion_scan(bits);
     let mut min_p = 1.0f64;
     for x in (-9i64..=9).filter(|&x| x != 0) {
         let visits = scan.totals[variant_state_index(x)];
@@ -1612,16 +1721,68 @@ mod tests {
     }
 
     #[test]
-    fn packed_berlekamp_massey_matches_scalar() {
+    fn sliced_berlekamp_massey_matches_scalar_per_lane() {
         let mut rng = StdRng::seed_from_u64(41);
-        for n in [1usize, 2, 13, 63, 64, 65, 127, 128, 129, 500, 777] {
-            for _ in 0..4 {
-                let block: Vec<bool> = (0..n).map(|_| rng.gen::<bool>()).collect();
-                let packed = BitVec::from_bits(block.iter().copied());
+        for n in [1usize, 2, 13, 63, 64, 65, 500, 777] {
+            // One state per block length, reused across batches: a narrower
+            // batch must not see the previous batch's lanes.
+            let mut bm = SlicedBerlekampMassey::new(n);
+            for lanes in [64usize, 36, 1] {
+                // Mixed lane families (random, biased, constant, alternating)
+                // cover low and high complexities in one batch; the odd
+                // offset puts block starts mid-word.
+                let offset = 5;
+                let blocks: Vec<BitVec> =
+                    (0..lanes).map(|k| stream(k as u8, n, rng.gen())).collect();
+                let mut bits = BitVec::zeros(offset);
+                for block in &blocks {
+                    bits.extend_from(block);
+                }
+                let sliced = bm.run(&bits, offset, lanes);
+                assert_eq!(sliced.len(), lanes);
+                for (k, (&l, block)) in sliced.iter().zip(&blocks).enumerate() {
+                    let scalar: Vec<bool> = block.iter().collect();
+                    assert_eq!(l, berlekamp_massey(&scalar), "n = {n}, lanes = {lanes}, lane {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linear_complexity_and_excursions_match_reference_at_window_and_megabit_sizes() {
+        // The service's 50 kb window at M = 500: 100 blocks, so one full
+        // and one partial sliced batch; the excursion tests are
+        // inapplicable there (J ≈ 180), through the cycle-count pre-check.
+        let window = random_bits(50_000, 21);
+        assert!(linear_complexity(&window, 500).is_applicable());
+        assert!(!random_excursion(&window).is_applicable());
+        // 1 Mb (2000 blocks) with J = 621 ≥ 500: both excursion tests applicable.
+        let long = random_bits(1_000_000, 2);
+        assert!(random_excursion(&long).is_applicable());
+        assert!(random_excursion_variant(&long).is_applicable());
+        for bits in [&window, &long] {
+            assert_identical(&linear_complexity(bits, 500), &linear_complexity_reference(bits, 500));
+            assert_identical(&random_excursion(bits), &random_excursion_reference(bits));
+            assert_identical(
+                &random_excursion_variant(bits),
+                &random_excursion_variant_reference(bits),
+            );
+        }
+    }
+
+    #[test]
+    fn excursion_cycle_count_matches_the_full_scan() {
+        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000, 4099, 50_000] {
+            for kind in 0..5u8 {
+                let bits = if kind == 4 {
+                    anticorrelated_bits(n, 0.7, n as u64)
+                } else {
+                    stream(kind, n, n as u64 + 1)
+                };
                 assert_eq!(
-                    berlekamp_massey_packed(packed.words(), n),
-                    berlekamp_massey(&block),
-                    "n = {n}"
+                    excursion_cycle_count(&bits),
+                    excursion_scan(&bits).j,
+                    "n = {n}, kind = {kind}"
                 );
             }
         }
@@ -1954,6 +2115,7 @@ mod tests {
             } else {
                 stream(kind, n, seed)
             };
+            prop_assert_eq!(excursion_cycle_count(&bits), excursion_scan(&bits).j);
             assert_identical(&random_excursion(&bits), &random_excursion_reference(&bits));
             assert_identical(
                 &random_excursion_variant(&bits),

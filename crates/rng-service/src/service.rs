@@ -191,11 +191,6 @@ impl RngService {
         }
     }
 
-    /// Number of shards (channels) serving requests.
-    pub fn num_shards(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The service configuration.
     pub fn config(&self) -> &RngServiceConfig {
         &self.shared.cfg

@@ -83,11 +83,6 @@ impl HostController {
         &mut self.module
     }
 
-    /// Consumes the controller and returns the module.
-    pub fn into_module(self) -> DramModuleSim {
-        self.module
-    }
-
     /// Executes a program against one bank, starting at the bank's current
     /// local time.
     ///

@@ -8,6 +8,14 @@ build:
 test:
     cargo test -q
 
+# Wall time of each test binary and doc-test crate (the "finished in"
+# figure `cargo test` prints for each), slowest last, then their sum.
+# Failing binaries show `FAILED.` in the second column.
+test-times:
+    cargo test --no-fail-fast 2>&1 | awk '/^ *(Running|Doc-tests)/ { sub(/^ +/, ""); name = $0 } \
+        /^test result/ { for (i = 1; i <= NF; i++) if ($i == "in") t = $(i + 1); print t, $3, name; sum += t } \
+        END { printf "%.2fs total\n", sum }' | sort -n
+
 # Generate API documentation for the workspace (must be warning-free).
 doc:
     cargo doc --no-deps
